@@ -78,6 +78,60 @@ BENCHMARK(BM_SgemmBackend)
     ->ArgsProduct({{0, 1}, {256}, {256}, {256}})  // square
     ->ArgNames({"avx2", "m", "n", "k"});
 
+// The four deep U-Net GEMMs a served generate spends its GEMM time in, per
+// item m x n x k ("T" = transposed weight), issued the way the conv forward
+// issues them: one strided-batched call whose weight is shared across the
+// batch. batch 8 is a full serve batch; batch 1 a lone request.
+struct SkinnyShape {
+  std::int64_t m, n, k;
+  bool trans_a;
+  const char* label;
+};
+constexpr SkinnyShape kSkinnyShapes[] = {{128, 1, 1184, false, "128x1x1184"},
+                                         {1024, 1, 128, true, "1024x1x128T"},
+                                         {512, 4, 128, true, "512x4x128T"},
+                                         {64, 4, 672, false, "64x4x672"}};
+
+void BM_SgemmSkinnyBatched(benchmark::State& state) {
+  const bool want_avx2 = state.range(0) != 0;
+  const SkinnyShape& sh = kSkinnyShapes[state.range(1)];
+  const std::int64_t batch = state.range(2);
+  const std::string backend = want_avx2 ? "avx2" : "reference";
+  const auto names = tensor::gemm_backend_names();
+  if (std::find(names.begin(), names.end(), backend) == names.end()) {
+    state.SkipWithError("backend not registered on this host");
+    return;
+  }
+  const std::string previous = tensor::gemm_backend_name();
+  tensor::set_gemm_backend(backend);
+  ThreadsGuard threads(state, 1);
+  flashgen::Rng rng(1);
+  std::vector<float> a(sh.m * sh.k), b(batch * sh.k * sh.n), c(batch * sh.m * sh.n);
+  for (auto& v : a) v = static_cast<float>(rng.normal());
+  for (auto& v : b) v = static_cast<float>(rng.normal());
+  tensor::GemmDesc d;
+  d.trans_a = sh.trans_a;
+  d.m = sh.m;
+  d.n = sh.n;
+  d.k = sh.k;
+  d.lda = sh.trans_a ? sh.m : sh.k;
+  d.ldb = sh.n;
+  d.ldc = sh.n;
+  d.batch_count = batch;
+  d.stride_b = sh.k * sh.n;
+  d.stride_c = sh.m * sh.n;
+  for (auto _ : state) {
+    tensor::sgemm_strided_batched(d, a.data(), b.data(), c.data());
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * batch * sh.m * sh.n * sh.k);
+  state.SetLabel(backend + " " + sh.label);
+  tensor::set_gemm_backend(previous);
+}
+BENCHMARK(BM_SgemmSkinnyBatched)
+    ->ArgsProduct({{0, 1}, {0, 1, 2, 3}, {1, 8}})
+    ->ArgNames({"avx2", "shape", "batch"});
+
 void BM_Conv2dForward(benchmark::State& state) {
   const tensor::Index size = state.range(0);
   ThreadsGuard threads(state, static_cast<int>(state.range(1)));

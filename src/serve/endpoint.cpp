@@ -112,6 +112,12 @@ int listen_endpoint(const Endpoint& endpoint, int backlog) {
   return fd;
 }
 
+int accept_endpoint(const Endpoint& endpoint, int listen_fd) {
+  const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+  if (fd >= 0 && endpoint.kind == Endpoint::Kind::kTcp) set_nodelay(fd);
+  return fd;
+}
+
 int connect_endpoint(const Endpoint& endpoint) {
   if (endpoint.kind == Endpoint::Kind::kUnix) {
     const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);

@@ -8,10 +8,10 @@
 //   "tcp:127.0.0.1:0"          - TCP on an OS-assigned port (tests; read it
 //                                back with bound_port())
 //
-// listen_endpoint/connect_endpoint own the transport-specific setup:
-// SO_REUSEADDR + TCP_NODELAY for TCP (small request/response frames would
-// otherwise stall on Nagle/delayed-ACK interaction), stale-socket unlink for
-// unix.
+// listen_endpoint/accept_endpoint/connect_endpoint own the transport-specific
+// setup: SO_REUSEADDR on TCP listeners, TCP_NODELAY on both ends of a TCP
+// connection (small request/response frames would otherwise stall on
+// Nagle/delayed-ACK interaction), stale-socket unlink for unix.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +41,12 @@ std::string to_string(const Endpoint& endpoint);
 /// listening fd (blocking; callers running an event loop mark it
 /// non-blocking). Throws flashgen::Error on failure.
 int listen_endpoint(const Endpoint& endpoint, int backlog);
+
+/// Accepts one connection from a listener made by listen_endpoint(endpoint):
+/// accept4 with SOCK_NONBLOCK | SOCK_CLOEXEC, then TCP_NODELAY for TCP (unix
+/// sockets have no Nagle to disable). Returns the connection fd, or -1 with
+/// errno set exactly as accept4 left it.
+int accept_endpoint(const Endpoint& endpoint, int listen_fd);
 
 /// Connects a blocking client socket to `endpoint` (TCP_NODELAY set for
 /// TCP). Throws flashgen::Error on failure.

@@ -216,48 +216,30 @@ Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b, Index stride,
         }
       },
       /*fully_overwritten=*/true);
-  if (inference_mode() && g.n > 1) {
-    // Serving path: strided im2col lays sample s into columns
-    // [s*osp, (s+1)*osp) of one (CKK, N*osp) matrix, and a single
-    // strided-batched GEMM (shared weight, stride_a = 0) writes every
-    // sample's output plane directly into y — the packing cost is paid once
-    // per batch and the old (OC, N*osp) -> (N, OC, osp) scatter copy is
-    // gone. The per-item shape (OC, osp, CKK) is exactly the training-path
-    // per-sample GEMM, so the bits match the training forward for every
-    // backend, and a coalesced request matches the same request served
-    // alone.
-    const Index bsp = g.n * osp;
-    ScratchBuffer cols(static_cast<std::size_t>(ckk) * bsp);
-    common::parallel_for(0, g.n, 1, [&](Index s0, Index s1) {
-      for (Index s = s0; s < s1; ++s)
-        detail::im2col(x.data().data() + s * g.c * g.h * g.w, g.c, g.h, g.w, g.kh, g.kw,
-                       stride, padding, g.oh, g.ow, cols.data() + s * osp, bsp);
-    });
-    GemmDesc d;
-    d.m = g.oc;
-    d.n = osp;
-    d.k = ckk;
-    d.lda = ckk;
-    d.ldb = bsp;
-    d.ldc = osp;
-    d.batch_count = g.n;
-    d.stride_b = osp;
-    d.stride_c = g.oc * osp;
-    sgemm_strided_batched(d, w.data().data(), cols.data(), y.data().data());
-  } else {
-    // Training path: every sample owns a disjoint band of y, so the batch
-    // loop is embarrassingly parallel; each chunk keeps a private im2col
-    // scratch.
-    common::parallel_for(0, g.n, 1, [&](Index s0, Index s1) {
-      ScratchBuffer cols(static_cast<std::size_t>(ckk) * osp);
-      for (Index s = s0; s < s1; ++s) {
-        detail::im2col(x.data().data() + s * g.c * g.h * g.w, g.c, g.h, g.w, g.kh, g.kw,
-                       stride, padding, g.oh, g.ow, cols.data());
-        sgemm(false, false, g.oc, osp, ckk, 1.0f, w.data().data(), ckk, cols.data(), osp,
-              0.0f, y.data().data() + s * g.oc * osp, osp);
-      }
-    });
-  }
+  // Forward, training and serving alike: strided im2col lays sample s into
+  // columns [s*osp, (s+1)*osp) of one (CKK, N*osp) matrix, and a single
+  // strided-batched GEMM (shared weight, stride_a = 0) writes every sample's
+  // output plane directly into y. The per-item shape (OC, osp, CKK) does not
+  // depend on the batch, so row s of a batch carries the bits of that row
+  // run alone, for every backend.
+  const Index bsp = g.n * osp;
+  ScratchBuffer cols(static_cast<std::size_t>(ckk) * bsp);
+  common::parallel_for(0, g.n, 1, [&](Index s0, Index s1) {
+    for (Index s = s0; s < s1; ++s)
+      detail::im2col(x.data().data() + s * g.c * g.h * g.w, g.c, g.h, g.w, g.kh, g.kw, stride,
+                     padding, g.oh, g.ow, cols.data() + s * osp, bsp);
+  });
+  GemmDesc d;
+  d.m = g.oc;
+  d.n = osp;
+  d.k = ckk;
+  d.lda = ckk;
+  d.ldb = bsp;
+  d.ldc = osp;
+  d.batch_count = g.n;
+  d.stride_b = osp;
+  d.stride_c = g.oc * osp;
+  sgemm_strided_batched(d, w.data().data(), cols.data(), y.data().data());
   if (b.defined()) y = add_bias(std::move(y), b);
   return y;
 }
@@ -335,42 +317,29 @@ Tensor conv_transpose2d(const Tensor& x, const Tensor& w, const Tensor& b, Index
       });
   // Forward: cols (OCKK, isp) = W_mat^T (OCKK, C) * X (C, isp); Y = col2im(cols).
   // y is NOT marked fully_overwritten: col2im accumulates into zeroed output.
-  if (inference_mode() && n > 1) {
-    // Serving path: one strided-batched GEMM reads every sample's input
-    // in place (shared transposed weight, stride_a = 0), so the old
-    // (N, C, isp) -> (C, N*isp) gather copy is gone; the transposed weight
-    // is still materialized/packed once per batch, not once per sample.
-    // The per-item shape matches the per-sample path exactly, so the bits
-    // are identical whether a request is served alone or coalesced.
-    ScratchBuffer cols(static_cast<std::size_t>(n) * ockk * isp);
-    GemmDesc d;
-    d.trans_a = true;
-    d.m = ockk;
-    d.n = isp;
-    d.k = c;
-    d.lda = ockk;
-    d.ldb = isp;
-    d.ldc = isp;
-    d.batch_count = n;
-    d.stride_b = c * isp;
-    d.stride_c = ockk * isp;
-    sgemm_strided_batched(d, w.data().data(), x.data().data(), cols.data());
-    common::parallel_for(0, n, 1, [&](Index s0, Index s1) {
-      for (Index s = s0; s < s1; ++s)
-        detail::col2im(cols.data() + s * ockk * isp, oc, oh, ow, kh, kw, stride, padding, h,
-                       wdt, y.data().data() + s * oc * oh * ow);
-    });
-  } else {
-    common::parallel_for(0, n, 1, [&](Index s0, Index s1) {
-      ScratchBuffer cols(static_cast<std::size_t>(ockk) * isp);
-      for (Index s = s0; s < s1; ++s) {
-        sgemm(true, false, ockk, isp, c, 1.0f, w.data().data(), ockk,
-              x.data().data() + s * c * isp, isp, 0.0f, cols.data(), isp);
-        detail::col2im(cols.data(), oc, oh, ow, kh, kw, stride, padding, h, wdt,
-                       y.data().data() + s * oc * oh * ow);
-      }
-    });
-  }
+  // One strided-batched GEMM reads every sample's input in place (shared
+  // transposed weight, stride_a = 0), then a parallel col2im scatters each
+  // sample's columns into its own output plane. The per-item shape does not
+  // depend on the batch, so a row's bits are the same whether it runs alone
+  // or coalesced, in training and serving alike.
+  ScratchBuffer cols(static_cast<std::size_t>(n) * ockk * isp);
+  GemmDesc d;
+  d.trans_a = true;
+  d.m = ockk;
+  d.n = isp;
+  d.k = c;
+  d.lda = ockk;
+  d.ldb = isp;
+  d.ldc = isp;
+  d.batch_count = n;
+  d.stride_b = c * isp;
+  d.stride_c = ockk * isp;
+  sgemm_strided_batched(d, w.data().data(), x.data().data(), cols.data());
+  common::parallel_for(0, n, 1, [&](Index s0, Index s1) {
+    for (Index s = s0; s < s1; ++s)
+      detail::col2im(cols.data() + s * ockk * isp, oc, oh, ow, kh, kw, stride, padding, h, wdt,
+                     y.data().data() + s * oc * oh * ow);
+  });
   if (b.defined()) y = add_bias(std::move(y), b);
   return y;
 }

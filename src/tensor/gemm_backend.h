@@ -7,9 +7,14 @@
 //   "reference"  the original row-blocked loop nest. Portable, and the bit
 //                pattern every historical result was produced with.
 //   "avx2"       packed A/B panels + a register-tiled FMA microkernel,
-//                cache-blocked and autotuned (see gemm_autotune.h). Registered
-//                only when the host CPU supports AVX2+FMA; its tile menu
-//                widens to 512-bit kernels when the host also has AVX-512F.
+//                autotuned (see gemm_autotune.h). Registered only when the
+//                host CPU supports AVX2+FMA; its tile menu widens to 512-bit
+//                kernels when the host also has AVX-512F. A call with a
+//                shared A (stride_a == 0) runs as one GEMM over every item's
+//                columns, so a batch of skinny items (n = 1..4) shares
+//                register tiles instead of padding one per item. Calls with
+//                k < 2 or a per-item m*n*k below 2^14 go to the reference
+//                loop nest instead.
 //
 // Selection: set_gemm_backend() beats the FLASHGEN_GEMM_BACKEND environment
 // variable (read once, at first dispatch) beats the built-in default, which
@@ -23,7 +28,8 @@
 //     batched call vs. the equivalent loop of single calls: every C element
 //     must be accumulated in a fixed order that depends only on the
 //     per-item (m, n, k) — never on thread count, batch position, leading
-//     strides, or (for the packed backend) the tuned tile shape.
+//     strides, how items are grouped into one computation (the packed
+//     backend's column folding), or the tuned tile shape.
 //   * beta == 0 overwrites C without reading it (NaN-poisoned C stays inert),
 //     beta == 1 adds, anything else scales-and-adds.
 // Backends are NOT required to agree with each other bit-for-bit — switching

@@ -1,13 +1,19 @@
-// The packed ("avx2") GEMM backend: pack op(A)/op(B) into microkernel-shaped
+// The packed ("avx2") GEMM backend: pack op(B) into microkernel-shaped
 // panels, then sweep register tiles over them with an FMA microkernel chosen
-// by the autotuner. Three deterministic-parallel phases per call:
+// by the autotuner. Two deterministic-parallel phases per call:
 //
-//   1. pack A  — (view, row-strip) chunks write disjoint [k][mr] panels with
-//                alpha folded in and tail rows zero-padded;
-//   2. pack B  — (view, col-strip) chunks write disjoint [k][nr] panels with
+//   1. pack B  — (view, col-strip) chunks write disjoint [k][nr] panels with
 //                tail columns zero-padded;
-//   3. macro   — (item, row-strip) chunks run the microkernel over every
-//                column strip and write back C with beta applied once.
+//   2. macro   — (group, row strip, column-strip range) chunks pack their
+//                [k][mr] A strip (alpha folded in, tail rows zero-padded)
+//                into per-thread scratch, run the microkernel over their
+//                column strips and write back C with beta applied once.
+//
+// A call whose A is shared across the batch (stride_a == 0) is one GEMM
+// over every item's columns side by side: the B packer reads each column
+// from its own item and the write-back returns each result to its item, so
+// a batch of n = 1 items fills one nr-wide panel instead of padding one
+// panel per item. Other calls run each item as its own group.
 //
 // Every phase partitions by shape (and tile config) only, and each C element
 // is produced by exactly one chunk as a single full-k FMA chain, so results
@@ -15,6 +21,7 @@
 // strides, and — because the chain never changes — every kernel in the menu.
 // Problems too small to amortize packing fall back to the reference loop
 // nest; the decision depends only on the per-item (m, n, k).
+#include <algorithm>
 #include <atomic>
 #include <memory>
 
@@ -38,6 +45,10 @@ constexpr int kMaxTileElems = 512;
 // reads/writes) rivals the multiply count and the plain loop nest wins.
 // Depends only on the per-item shape so batched and looped calls agree.
 constexpr std::int64_t kMinPackedFlops = std::int64_t{1} << 14;
+
+// Macro-loop chunks a call is cut into (at least, when its column strips
+// allow), so a few-row GEMM still spreads over the worker pool.
+constexpr std::int64_t kMinMacroChunks = 8;
 
 std::atomic<int> g_forced_kernel{-1};
 
@@ -71,9 +82,14 @@ void pack_a_strip(const GemmDesc& d, const float* a, std::int64_t i0, std::int64
       for (std::int64_t r = rows; r < mr; ++r) out[r] = 0.0f;
     }
   } else {
-    for (std::int64_t r = 0; r < rows; ++r) {
-      const float* src = a + (i0 + r) * d.lda;
-      for (std::int64_t p = 0; p < k; ++p) dst[p * mr + r] = d.alpha * src[p];
+    // Transpose in k-blocks so the strided panel writes stay in L1.
+    constexpr std::int64_t kBlock = 128;
+    for (std::int64_t p0 = 0; p0 < k; p0 += kBlock) {
+      const std::int64_t p1 = std::min(k, p0 + kBlock);
+      for (std::int64_t r = 0; r < rows; ++r) {
+        const float* src = a + (i0 + r) * d.lda;
+        for (std::int64_t p = p0; p < p1; ++p) dst[p * mr + r] = d.alpha * src[p];
+      }
     }
     if (rows < mr) {
       for (std::int64_t p = 0; p < k; ++p)
@@ -82,43 +98,65 @@ void pack_a_strip(const GemmDesc& d, const float* a, std::int64_t i0, std::int64
   }
 }
 
-// dst[p][j] = op(B)[p][j0 + j] for j < cols, 0 beyond.
-void pack_b_strip(const GemmDesc& d, const float* b, std::int64_t j0, std::int64_t cols,
-                  std::int64_t nr, float* dst) {
-  const std::int64_t k = d.k;
-  if (d.trans_b) {
-    // Stored B is n x k with row stride ldb: op(B)[p][j] = b[j*ldb + p].
-    for (std::int64_t j = 0; j < cols; ++j) {
-      const float* src = b + (j0 + j) * d.ldb;
-      for (std::int64_t p = 0; p < k; ++p) dst[p * nr + j] = src[p];
-    }
-    for (std::int64_t j = cols; j < nr; ++j)
-      for (std::int64_t p = 0; p < k; ++p) dst[p * nr + j] = 0.0f;
-  } else {
-    for (std::int64_t p = 0; p < k; ++p) {
-      const float* src = b + p * d.ldb + j0;
-      float* out = dst + p * nr;
-      for (std::int64_t j = 0; j < cols; ++j) out[j] = src[j];
-      for (std::int64_t j = cols; j < nr; ++j) out[j] = 0.0f;
-    }
+// Column g of a group's column space is column g % n of item g / n. Unfolded
+// groups only have g < n (always item 0 of the group); a folded shared-A call
+// runs every item's columns side by side. `fn(item, j, len, offset)` sees
+// maximal runs of `len` consecutive columns of one item, starting at its
+// column j and at `offset` within [g0, g0 + cols).
+template <typename Fn>
+void for_each_item_run(std::int64_t n, std::int64_t g0, std::int64_t cols, Fn&& fn) {
+  for (std::int64_t g = g0; g < g0 + cols;) {
+    const std::int64_t item = g / n, j = g % n;
+    const std::int64_t len = std::min(g0 + cols - g, n - j);
+    fn(item, j, len, g - g0);
+    g += len;
   }
 }
 
-// C tile <- acc with beta applied. beta == 0 never reads C (poisoned C stays
-// inert); padded accumulator rows/columns are simply not written.
-void write_tile(const float* acc, std::int64_t nr, std::int64_t rows, std::int64_t cols,
-                float beta, float* c, std::int64_t ldc) {
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* arow = acc + r * nr;
-    float* crow = c + r * ldc;
-    if (beta == 0.0f) {
-      for (std::int64_t j = 0; j < cols; ++j) crow[j] = arow[j];
-    } else if (beta == 1.0f) {
-      for (std::int64_t j = 0; j < cols; ++j) crow[j] += arow[j];
+// dst[p][t] = op(B_item)[p][j] for group column g0 + t (t < cols), 0 beyond.
+void pack_b_strip(const GemmDesc& d, const float* b, std::int64_t g0, std::int64_t cols,
+                  std::int64_t nr, float* dst) {
+  const std::int64_t k = d.k;
+  for_each_item_run(d.n, g0, cols, [&](std::int64_t item, std::int64_t j0, std::int64_t len,
+                                       std::int64_t off) {
+    const float* bi = b + item * d.stride_b;
+    if (d.trans_b) {
+      // Stored B is n x k with row stride ldb: op(B)[p][j] = b[j*ldb + p].
+      for (std::int64_t j = 0; j < len; ++j) {
+        const float* src = bi + (j0 + j) * d.ldb;
+        for (std::int64_t p = 0; p < k; ++p) dst[p * nr + off + j] = src[p];
+      }
     } else {
-      for (std::int64_t j = 0; j < cols; ++j) crow[j] = arow[j] + beta * crow[j];
+      for (std::int64_t p = 0; p < k; ++p) {
+        const float* src = bi + p * d.ldb + j0;
+        float* out = dst + p * nr + off;
+        for (std::int64_t j = 0; j < len; ++j) out[j] = src[j];
+      }
     }
-  }
+  });
+  for (std::int64_t p = 0; p < k; ++p)
+    for (std::int64_t j = cols; j < nr; ++j) dst[p * nr + j] = 0.0f;
+}
+
+// C tile <- acc with beta applied, each column back into its own item.
+// beta == 0 never reads C (poisoned C stays inert); padded accumulator
+// rows/columns are simply not written.
+void write_tile(const GemmDesc& d, const float* acc, std::int64_t nr, std::int64_t rows,
+                std::int64_t g0, std::int64_t cols, float* c) {
+  for_each_item_run(d.n, g0, cols, [&](std::int64_t item, std::int64_t j0, std::int64_t len,
+                                       std::int64_t off) {
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const float* arow = acc + r * nr + off;
+      float* crow = c + item * d.stride_c + r * d.ldc + j0;
+      if (d.beta == 0.0f) {
+        for (std::int64_t j = 0; j < len; ++j) crow[j] = arow[j];
+      } else if (d.beta == 1.0f) {
+        for (std::int64_t j = 0; j < len; ++j) crow[j] += arow[j];
+      } else {
+        for (std::int64_t j = 0; j < len; ++j) crow[j] = arow[j] + d.beta * crow[j];
+      }
+    }
+  });
 }
 
 // Grain helpers: all a function of shape + tile config only, never of the
@@ -126,72 +164,73 @@ void write_tile(const float* acc, std::int64_t nr, std::int64_t rows, std::int64
 std::int64_t pack_grain(std::int64_t elems_per_strip) {
   return std::max<std::int64_t>(1, (std::int64_t{1} << 14) / std::max<std::int64_t>(1, elems_per_strip));
 }
-std::int64_t macro_grain(std::int64_t mr, std::int64_t n, std::int64_t k) {
-  const std::int64_t flops = std::max<std::int64_t>(1, mr * n * k);
-  return std::max<std::int64_t>(1, (std::int64_t{1} << 15) / flops);
+std::int64_t macro_grain(std::int64_t chunk_flops) {
+  return std::max<std::int64_t>(1, (std::int64_t{1} << 15) / std::max<std::int64_t>(1, chunk_flops));
 }
 
 }  // namespace
 
 bool packed_gemm_uses_fallback(const GemmDesc& desc) {
-  return desc.n < 8 || desc.k < 2 || desc.m * desc.n * desc.k < kMinPackedFlops;
+  return desc.k < 2 || desc.m * desc.n * desc.k < kMinPackedFlops;
 }
 
 void packed_gemm_with_kernel(const MicroKernel& kernel, const GemmDesc& d, const float* a,
                              const float* b, float* c) {
   const std::int64_t mr = kernel.mr, nr = kernel.nr;
   FG_CHECK(mr * nr <= kMaxTileElems, "gemm microkernel tile too large: " << mr << "x" << nr);
-  const std::int64_t m = d.m, n = d.n, k = d.k, batch = d.batch_count;
+  const std::int64_t m = d.m, k = d.k, batch = d.batch_count;
+  // A shared A (stride 0) folds the batch into columns: one group of
+  // batch * n columns. Otherwise each item is its own group of n columns.
+  const bool fold = d.stride_a == 0;
+  const std::int64_t groups = fold ? 1 : batch;
+  const std::int64_t cols = fold ? batch * d.n : d.n;
   const std::int64_t m_strips = (m + mr - 1) / mr;
-  const std::int64_t n_strips = (n + nr - 1) / nr;
-  // A stride of 0 shares the operand across items: pack it once.
-  const std::int64_t a_views = d.stride_a == 0 ? 1 : batch;
-  const std::int64_t b_views = d.stride_b == 0 ? 1 : batch;
-  const std::int64_t pa_strip = mr * k, pb_strip = nr * k;
+  const std::int64_t n_strips = (cols + nr - 1) / nr;
+  const std::int64_t b_views = d.stride_b == 0 ? 1 : groups;
+  const std::int64_t pb_strip = nr * k;
 
-  ScratchBuffer pa(static_cast<std::size_t>(a_views) * m_strips * pa_strip);
   ScratchBuffer pb(static_cast<std::size_t>(b_views) * n_strips * pb_strip);
-
-  common::parallel_for(0, a_views * m_strips, pack_grain(pa_strip),
-                       [&](std::int64_t t0, std::int64_t t1) {
-                         for (std::int64_t t = t0; t < t1; ++t) {
-                           const std::int64_t s = t / m_strips, is = t % m_strips;
-                           const std::int64_t i0 = is * mr;
-                           pack_a_strip(d, a + s * d.stride_a, i0, std::min(mr, m - i0), mr,
-                                        pa.data() + t * pa_strip);
-                         }
-                       });
   common::parallel_for(0, b_views * n_strips, pack_grain(pb_strip),
                        [&](std::int64_t t0, std::int64_t t1) {
                          for (std::int64_t t = t0; t < t1; ++t) {
-                           const std::int64_t s = t / n_strips, js = t % n_strips;
-                           const std::int64_t j0 = js * nr;
-                           pack_b_strip(d, b + s * d.stride_b, j0, std::min(nr, n - j0), nr,
+                           const std::int64_t v = t / n_strips, g0 = (t % n_strips) * nr;
+                           pack_b_strip(d, b + v * d.stride_b, g0, std::min(nr, cols - g0), nr,
                                         pb.data() + t * pb_strip);
                          }
                        });
 
-  common::parallel_for(0, batch * m_strips, macro_grain(mr, n, k),
-                       [&](std::int64_t t0, std::int64_t t1) {
-                         alignas(64) float acc[kMaxTileElems];
-                         for (std::int64_t t = t0; t < t1; ++t) {
-                           const std::int64_t s = t / m_strips, is = t % m_strips;
-                           const std::int64_t i0 = is * mr;
-                           const std::int64_t rows = std::min(mr, m - i0);
-                           const float* pa_s =
-                               pa.data() +
-                               ((a_views == 1 ? 0 : s) * m_strips + is) * pa_strip;
-                           const float* pb_base =
-                               pb.data() + (b_views == 1 ? 0 : s) * n_strips * pb_strip;
-                           float* c_item = c + s * d.stride_c + i0 * d.ldc;
-                           for (std::int64_t js = 0; js < n_strips; ++js) {
-                             kernel.run(k, pa_s, pb_base + js * pb_strip, acc);
-                             const std::int64_t j0 = js * nr;
-                             write_tile(acc, nr, rows, std::min(nr, n - j0), d.beta,
-                                        c_item + j0, d.ldc);
-                           }
-                         }
-                       });
+  // Macro chunks are (group, row strip, column-strip range). A row strip is
+  // cut into ranges only when there are too few row strips to go around
+  // kMinMacroChunks workers; every range packs its own mr x k A strip.
+  const std::int64_t row_strips = groups * m_strips;
+  const std::int64_t ranges =
+      std::clamp<std::int64_t>(kMinMacroChunks / row_strips, 1, n_strips);
+  const std::int64_t strips_per_range = (n_strips + ranges - 1) / ranges;
+  const std::int64_t n_ranges = (n_strips + strips_per_range - 1) / strips_per_range;
+  common::parallel_for(
+      0, row_strips * n_ranges, macro_grain(mr * nr * k * strips_per_range),
+      [&](std::int64_t t0, std::int64_t t1) {
+        ScratchBuffer pa(static_cast<std::size_t>(mr * k));
+        alignas(64) float acc[kMaxTileElems];
+        std::int64_t packed = -1;  // row strip currently held in pa
+        for (std::int64_t t = t0; t < t1; ++t) {
+          const std::int64_t strip = t / n_ranges, range = t % n_ranges;
+          const std::int64_t grp = strip / m_strips, i0 = (strip % m_strips) * mr;
+          const std::int64_t rows = std::min(mr, m - i0);
+          if (strip != packed) {
+            pack_a_strip(d, a + grp * d.stride_a, i0, rows, mr, pa.data());
+            packed = strip;
+          }
+          const float* pb_group = pb.data() + (b_views == 1 ? 0 : grp) * n_strips * pb_strip;
+          float* c_rows = c + grp * d.stride_c + i0 * d.ldc;
+          const std::int64_t js1 = std::min(n_strips, (range + 1) * strips_per_range);
+          for (std::int64_t js = range * strips_per_range; js < js1; ++js) {
+            kernel.run(k, pa.data(), pb_group + js * pb_strip, acc);
+            const std::int64_t g0 = js * nr;
+            write_tile(d, acc, nr, rows, g0, std::min(nr, cols - g0), c_rows);
+          }
+        }
+      });
 }
 
 const MicroKernel* packed_kernel_menu(int* count) {

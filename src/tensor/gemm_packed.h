@@ -10,6 +10,11 @@
 // single rounding chain over the full k range, the result bits are identical
 // for every kernel in the menu (any mr/nr, 256-bit or 512-bit lanes) — which
 // is what makes autotuning bit-safe.
+//
+// The driver (packed_gemm_with_kernel) packs op(B) once per call, packs A one
+// mr x k strip at a time inside each macro chunk (so scratch stays at one
+// strip per worker, never a whole m x k panel), and folds the items of a
+// shared-A batch into one column space; see gemm_packed.cpp.
 #pragma once
 
 #include <cstdint>
@@ -52,8 +57,10 @@ void packed_gemm_with_kernel(const MicroKernel& kernel, const GemmDesc& desc, co
                              const float* b, float* c);
 
 /// True when `desc` is small enough that the packed backend routes it to the
-/// reference loop nest instead of paying the packing overhead. Exposed so
-/// tests can pick shapes on both sides of the threshold.
+/// reference loop nest instead of paying the packing overhead: k < 2, or a
+/// per-item m*n*k below 2^14 (any n, including the skinny n < 8 shapes).
+/// Depends on the per-item shape only, so batched and looped calls agree.
+/// Exposed so tests can pick shapes on both sides of the threshold.
 bool packed_gemm_uses_fallback(const GemmDesc& desc);
 
 // Per-ISA kernel tables, defined in gemm_kernels_avx2.cpp /

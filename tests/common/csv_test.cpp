@@ -20,7 +20,10 @@ std::string read_all(const std::string& path) {
 
 class CsvTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/csv_test.csv";
+  // Unique per test case: ctest runs cases as parallel processes.
+  std::string path_ = ::testing::TempDir() + "/csv_test_" +
+                      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+                      ".csv";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

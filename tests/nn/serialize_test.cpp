@@ -30,7 +30,10 @@ struct SmallNet : Module {
 
 class SerializeTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/ckpt_test.bin";
+  // Unique per test case: ctest runs cases as parallel processes.
+  std::string path_ = ::testing::TempDir() + "/ckpt_test_" +
+                      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+                      ".bin";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

@@ -1,15 +1,20 @@
 // Epoll front-end over TCP: bit-identity with the unix transport and the
 // bare engine, pipelined requests on one connection, clean-EOF flushing,
 // connection bursts beyond the listen backlog, replica dispatch, OS-assigned
-// ports, and accept-path fault injection (transient errno storms must never
-// silence the listener — the regression this suite pins down).
+// ports, TCP_NODELAY on accepted sockets, and accept-path fault injection
+// (transient errno storms must never silence the listener — the regression
+// this suite pins down).
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <mutex>
@@ -275,6 +280,26 @@ TEST_F(ServerTcpTest, OsAssignedPortIsReflectedInEndpoint) {
   EXPECT_NE(second.port(), 0);
   EXPECT_NE(first.port(), second.port());
   EXPECT_EQ(first.endpoint(), "tcp:127.0.0.1:" + std::to_string(first.port()));
+}
+
+// The server accepts through accept_endpoint, so this pins what every
+// accepted TCP connection gets: TCP_NODELAY, without which a pipelined reply
+// written behind an unacknowledged one waits for the client's delayed ACK.
+TEST(AcceptEndpoint, AcceptedTcpSocketsDisableNagle) {
+  const Endpoint spec = parse_endpoint("tcp:127.0.0.1:0");
+  const int listener = listen_endpoint(spec, SOMAXCONN);
+  Endpoint bound = spec;
+  bound.port = bound_port(listener);
+  const int client = connect_endpoint(bound);
+  const int accepted = accept_endpoint(bound, listener);
+  ASSERT_GE(accepted, 0) << std::strerror(errno);
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(accepted, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+  EXPECT_EQ(nodelay, 1);
+  ::close(accepted);
+  ::close(client);
+  ::close(listener);
 }
 
 TEST_F(ServerTcpTest, TransientAcceptErrorsAreRetriedAndCounted) {

@@ -7,6 +7,7 @@
 
 #include "common/error.h"
 #include "tensor/ops.h"
+#include "tensor/workspace.h"
 #include "testutil/gradcheck.h"
 
 namespace flashgen::tensor {
@@ -148,6 +149,68 @@ TEST(ConvTranspose2d, RejectsBadShapes) {
   Tensor x = Tensor::zeros(Shape{1, 2, 4, 4});
   Tensor w = Tensor::zeros(Shape{3, 2, 4, 4});  // in-channels mismatch (expects w[0]==2)
   EXPECT_THROW(conv_transpose2d(x, w, Tensor(), 2, 1), Error);
+}
+
+// The deep U-Net layers: 1x1 and 2x2 maps, where each sample is a GEMM
+// with n = 1 or 4 output columns and a batch shares one weight. Training and
+// serving run the same batched forward, and every row of a batch must carry
+// the bits of that row run alone.
+struct SkinnyConvCase {
+  bool transposed;
+  Index c, hw, oc, k, stride, pad;
+};
+
+constexpr SkinnyConvCase kSkinnyConvCases[] = {
+    {false, 16, 2, 128, 4, 2, 1},  // 2x2 -> 1x1 down conv
+    {false, 32, 1, 64, 3, 1, 1},   // 1x1 -> 1x1
+    {true, 64, 1, 32, 4, 2, 1},    // 1x1 -> 2x2 up conv
+    {true, 32, 2, 16, 4, 2, 1},    // 2x2 -> 4x4 up conv
+};
+
+Tensor skinny_forward(const SkinnyConvCase& p, const Tensor& x, const Tensor& w) {
+  return p.transposed ? conv_transpose2d(x, w, Tensor(), p.stride, p.pad)
+                      : conv2d(x, w, Tensor(), p.stride, p.pad);
+}
+
+TEST(ConvSkinnyMaps, BatchRowsMatchRowsRunAlone) {
+  for (const SkinnyConvCase& p : kSkinnyConvCases) {
+    const Index batch = 8, plane = p.c * p.hw * p.hw;
+    flashgen::Rng rng(21);
+    Tensor x = Tensor::randn(Shape{batch, p.c, p.hw, p.hw}, rng);
+    Tensor w = p.transposed ? Tensor::randn(Shape{p.c, p.oc, p.k, p.k}, rng, 0.1f)
+                            : Tensor::randn(Shape{p.oc, p.c, p.k, p.k}, rng, 0.1f);
+    InferenceModeGuard guard;
+    Tensor y = skinny_forward(p, x, w);
+    const Index out_plane = y.numel() / batch;
+    for (Index s = 0; s < batch; ++s) {
+      std::vector<float> row(x.data().begin() + s * plane, x.data().begin() + (s + 1) * plane);
+      Tensor alone = skinny_forward(p, Tensor::from_data(Shape{1, p.c, p.hw, p.hw}, std::move(row)), w);
+      ASSERT_EQ(alone.numel(), out_plane);
+      const std::vector<float> batched_row(y.data().begin() + s * out_plane,
+                                           y.data().begin() + (s + 1) * out_plane);
+      EXPECT_EQ(batched_row, std::vector<float>(alone.data().begin(), alone.data().end()))
+          << "transposed=" << p.transposed << " hw=" << p.hw << " row " << s;
+    }
+  }
+}
+
+TEST(ConvSkinnyMaps, TrainingForwardMatchesInferenceForward) {
+  for (const SkinnyConvCase& p : kSkinnyConvCases) {
+    flashgen::Rng rng(22);
+    Tensor x = Tensor::randn(Shape{8, p.c, p.hw, p.hw}, rng, 1.0f, /*requires_grad=*/true);
+    Tensor w = p.transposed
+                   ? Tensor::randn(Shape{p.c, p.oc, p.k, p.k}, rng, 0.1f, /*requires_grad=*/true)
+                   : Tensor::randn(Shape{p.oc, p.c, p.k, p.k}, rng, 0.1f, /*requires_grad=*/true);
+    Tensor trained = skinny_forward(p, x, w);
+    std::vector<float> served;
+    {
+      InferenceModeGuard guard;
+      Tensor y = skinny_forward(p, x, w);
+      served.assign(y.data().begin(), y.data().end());
+    }
+    EXPECT_EQ(std::vector<float>(trained.data().begin(), trained.data().end()), served)
+        << "transposed=" << p.transposed << " hw=" << p.hw;
+  }
 }
 
 TEST(Im2col, RoundTripAdjointIdentity) {

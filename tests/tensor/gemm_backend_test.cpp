@@ -84,6 +84,36 @@ void fill_normal(std::vector<float>& v, flashgen::Rng& rng) {
   for (auto& x : v) x = static_cast<float>(rng.normal());
 }
 
+// A strided-batched descriptor with padded leading dimensions and per-item
+// strides; a shared A has stride 0, which the packed backend runs as one
+// GEMM over every item's columns.
+GemmDesc batched_desc(std::int64_t m, std::int64_t n, std::int64_t k, std::int64_t batch,
+                      bool shared_a, bool trans_a, float beta) {
+  GemmDesc d;
+  d.trans_a = trans_a;
+  d.m = m;
+  d.n = n;
+  d.k = k;
+  d.alpha = 1.0f;
+  d.beta = beta;
+  d.lda = (trans_a ? m : k) + 2;
+  d.ldb = n + 3;
+  d.ldc = n + 1;
+  d.batch_count = batch;
+  d.stride_a = shared_a ? 0 : (trans_a ? k : m) * d.lda;
+  d.stride_b = k * d.ldb;
+  d.stride_c = m * d.ldc;
+  return d;
+}
+
+// The deep U-Net layer classes: per-item n of 1 and 4 below one register
+// tile. With a batch of 3 x n = 4 the folded columns (12) are not a
+// multiple of any tile width.
+struct SkinnyShape {
+  std::int64_t m, n, k;
+};
+constexpr SkinnyShape kSkinnyShapes[] = {{130, 1, 131}, {130, 4, 131}};
+
 class GemmBackendConformance : public ::testing::TestWithParam<std::string> {
  protected:
   void SetUp() override {
@@ -202,9 +232,11 @@ TEST_P(GemmBackendConformance, ZeroTimesNanInOperandsPropagates) {
 }
 
 // Thread-count invariance: the exact same bits at every pool size, on shapes
-// straddling the packed backend's fallback threshold.
+// straddling the packed backend's fallback threshold, plus skinny batched
+// calls (shared and per-item A, both A layouts, beta 0 and 1).
 TEST_P(GemmBackendConformance, BitIdenticalAcrossThreadCounts) {
   flashgen::Rng rng(5150);
+  std::vector<GemmDesc> descs;
   for (const auto& [m, n, k] : {std::tuple<int, int, int>{5, 9, 7},      // tiny: fallback
                                 std::tuple<int, int, int>{48, 96, 80},   // packed path
                                 std::tuple<int, int, int>{130, 70, 19}}) {
@@ -217,6 +249,15 @@ TEST_P(GemmBackendConformance, BitIdenticalAcrossThreadCounts) {
     d.lda = k;
     d.ldb = n;
     d.ldc = n;
+    descs.push_back(d);
+  }
+  for (const SkinnyShape& sh : kSkinnyShapes)
+    for (const std::int64_t batch : {1, 3, 8})
+      for (const bool shared_a : {true, false})
+        for (const bool trans_a : {false, true})
+          for (const float beta : {0.0f, 1.0f})
+            descs.push_back(batched_desc(sh.m, sh.n, sh.k, batch, shared_a, trans_a, beta));
+  for (const GemmDesc& d : descs) {
     std::vector<float> a(a_size(d)), b(b_size(d)), c0(c_size(d));
     fill_normal(a, rng);
     fill_normal(b, rng);
@@ -229,8 +270,10 @@ TEST_P(GemmBackendConformance, BitIdenticalAcrossThreadCounts) {
       if (threads == 1) {
         c1 = c;
       } else {
-        EXPECT_EQ(c, c1) << "threads=" << threads << " changed bits at m=" << m << " n=" << n
-                         << " k=" << k;
+        EXPECT_EQ(c, c1) << "threads=" << threads << " changed bits at m=" << d.m
+                         << " n=" << d.n << " k=" << d.k << " batch=" << d.batch_count
+                         << " shared_a=" << (d.stride_a == 0) << " ta=" << d.trans_a
+                         << " beta=" << d.beta;
       }
     }
     common::set_num_threads(0);
@@ -239,7 +282,8 @@ TEST_P(GemmBackendConformance, BitIdenticalAcrossThreadCounts) {
 
 // Batched-vs-looped bit identity: one strided-batched call (including a
 // shared, stride-0 A and non-tight output strides) must equal running each
-// item alone — the property the serve-path batch coalescing leans on.
+// item alone — the property the serve-path batch coalescing leans on. The
+// skinny shapes cover the shared-A column folding at batch 1, 3 and 8.
 TEST_P(GemmBackendConformance, BatchedCallMatchesLoopedCallsBitwise) {
   flashgen::Rng rng(77);
   for (const bool shared_a : {true, false}) {
@@ -272,6 +316,35 @@ TEST_P(GemmBackendConformance, BatchedCallMatchesLoopedCallsBitwise) {
       sgemm_strided_batched(single, a.data() + s * d.stride_a, b.data() + s * d.stride_b,
                             looped.data() + s * d.stride_c);
     EXPECT_EQ(batched, looped) << "shared_a=" << shared_a;
+  }
+  for (const SkinnyShape& sh : kSkinnyShapes) {
+    for (const std::int64_t batch : {1, 3, 8}) {
+      for (const bool shared_a : {true, false}) {
+        for (const bool trans_a : {false, true}) {
+          for (const float beta : {0.0f, 1.0f}) {
+            const GemmDesc d = batched_desc(sh.m, sh.n, sh.k, batch, shared_a, trans_a, beta);
+            std::vector<float> a(a_size(d)), b(b_size(d)), c0(c_size(d));
+            fill_normal(a, rng);
+            fill_normal(b, rng);
+            fill_normal(c0, rng);
+
+            std::vector<float> batched = c0;
+            sgemm_strided_batched(d, a.data(), b.data(), batched.data());
+
+            std::vector<float> looped = c0;
+            GemmDesc single = d;
+            single.batch_count = 1;
+            single.stride_a = single.stride_b = single.stride_c = 0;
+            for (std::int64_t s = 0; s < batch; ++s)
+              sgemm_strided_batched(single, a.data() + s * d.stride_a,
+                                    b.data() + s * d.stride_b, looped.data() + s * d.stride_c);
+            EXPECT_EQ(batched, looped)
+                << "m=" << sh.m << " n=" << sh.n << " k=" << sh.k << " batch=" << batch
+                << " shared_a=" << shared_a << " ta=" << trans_a << " beta=" << beta;
+          }
+        }
+      }
+    }
   }
 }
 
@@ -334,21 +407,28 @@ TEST(GemmPackedKernels, AllMenuKernelsBitIdentical) {
   d.lda = d.k;
   d.ldb = d.n;
   d.ldc = d.n;
-  ASSERT_FALSE(detail::packed_gemm_uses_fallback(d));
-  std::vector<float> a(a_size(d)), b(b_size(d)), c0(c_size(d));
-  fill_normal(a, rng);
-  fill_normal(b, rng);
-  fill_normal(c0, rng);
+  // A folded skinny call too: 8 items x n = 1 share one tile-width panel,
+  // which every menu kernel pads differently.
+  GemmDesc folded = batched_desc(130, 1, 131, 8, /*shared_a=*/true, /*trans_a=*/true, 0.0f);
+  folded.alpha = 1.25f;
+  for (const GemmDesc& desc : {d, folded}) {
+    ASSERT_FALSE(detail::packed_gemm_uses_fallback(desc));
+    std::vector<float> a(a_size(desc)), b(b_size(desc)), c0(c_size(desc));
+    fill_normal(a, rng);
+    fill_normal(b, rng);
+    fill_normal(c0, rng);
 
-  std::vector<float> first;
-  for (int index = 0; index < count; ++index) {
-    detail::set_forced_packed_kernel(index);
-    std::vector<float> c = c0;
-    sgemm_strided_batched(d, a.data(), b.data(), c.data());
-    if (index == 0) {
-      first = c;
-    } else {
-      EXPECT_EQ(c, first) << "kernel " << index << " diverged from kernel 0";
+    std::vector<float> first;
+    for (int index = 0; index < count; ++index) {
+      detail::set_forced_packed_kernel(index);
+      std::vector<float> c = c0;
+      sgemm_strided_batched(desc, a.data(), b.data(), c.data());
+      if (index == 0) {
+        first = c;
+      } else {
+        EXPECT_EQ(c, first) << "kernel " << index << " diverged from kernel 0 (m=" << desc.m
+                            << " n=" << desc.n << " batch=" << desc.batch_count << ")";
+      }
     }
   }
   detail::set_forced_packed_kernel(-1);
