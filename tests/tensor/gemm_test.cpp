@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -29,11 +30,20 @@ std::vector<float> reference(bool ta, bool tb, int m, int n, int k, float alpha,
   return c;
 }
 
+// gtest names each instance after the bytes of its parameter, so the case
+// carries no implicit padding: brace initialization would leave padding bytes
+// indeterminate and the discovered test names would change from run to run.
 struct GemmCase {
+  GemmCase(bool ta_, bool tb_, int m_, int n_, int k_, float alpha_, float beta_)
+      : ta(ta_), tb(tb_), m(m_), n(n_), k(k_), alpha(alpha_), beta(beta_) {}
   bool ta, tb;
+  std::uint8_t unused[2] = {0, 0};
   int m, n, k;
   float alpha, beta;
 };
+static_assert(sizeof(GemmCase) ==
+                  2 * sizeof(bool) + 2 + 3 * sizeof(int) + 2 * sizeof(float),
+              "GemmCase must have no padding bytes");
 
 class GemmParamTest : public ::testing::TestWithParam<GemmCase> {};
 
