@@ -35,10 +35,9 @@ int main() {
       (std::filesystem::temp_directory_path() / "flashgen_serve_demo.sock").string();
   serve::BatchPolicy policy;
   policy.max_batch_size = 8;
-  policy.max_wait_micros = 2000;
   serve::Server server(registry, socket_path, policy);
   server.start();
-  std::printf("serving on %s (batch<=%zu, wait<=%lluus)\n", socket_path.c_str(),
+  std::printf("serving on %s (batch<=%zu, hold=%lluus)\n", socket_path.c_str(),
               policy.max_batch_size, static_cast<unsigned long long>(policy.max_wait_micros));
 
   // Four concurrent clients, each asking for voltages of the same PL array

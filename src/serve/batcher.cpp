@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <limits>
 #include <utility>
 
 #include "common/error.h"
@@ -173,6 +174,13 @@ std::size_t RequestBatcher::outstanding() const {
   return queue_.size() + in_flight_;
 }
 
+std::size_t RequestBatcher::batches_ahead() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (policy_.max_queue_depth > 0 && queue_.size() + in_flight_ >= policy_.max_queue_depth)
+    return std::numeric_limits<std::size_t>::max();
+  return (in_flight_ > 0 ? 1 : 0) + queue_.size() / policy_.max_batch_size;
+}
+
 std::uint64_t RequestBatcher::oldest_outstanding_micros() const {
   std::lock_guard<std::mutex> lock(mutex_);
   auto oldest = in_flight_oldest_;
@@ -208,15 +216,17 @@ void RequestBatcher::run() {
     cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
     if (stop_) return;
 
-    // Hold the batch open until it fills or its oldest request has waited
-    // max_wait_micros. Under a steady request stream this closes full
-    // batches; an isolated request pays at most the wait bound.
-    const auto deadline =
-        queue_.front().enqueued + std::chrono::microseconds(policy_.max_wait_micros);
-    while (queue_.size() < policy_.max_batch_size && !stop_) {
-      if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) break;
+    // Work-conserving by default: with no hold the batch is whatever queued
+    // while the replica was busy. An opt-in hold keeps the batch open until
+    // it fills or its oldest request has waited max_wait_micros.
+    if (policy_.max_wait_micros > 0) {
+      const auto deadline =
+          queue_.front().enqueued + std::chrono::microseconds(policy_.max_wait_micros);
+      while (queue_.size() < policy_.max_batch_size && !stop_) {
+        if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) break;
+      }
+      if (stop_) return;
     }
-    if (stop_) return;
 
     const std::size_t take = std::min(queue_.size(), policy_.max_batch_size);
     std::vector<Pending> batch;

@@ -2,9 +2,11 @@
 // batched InferenceEngine calls.
 //
 // Requests arrive from any thread via submit(); a single executor thread
-// drains the queue. A batch closes when it reaches max_batch_size, or when
-// max_wait_micros have elapsed since its oldest request was enqueued — so an
-// isolated request never waits longer than max_wait_micros for company.
+// drains the queue. The executor is work-conserving: as soon as its replica
+// is free it takes up to max_batch_size of whatever is queued, so an
+// isolated request starts at once and batches fill from the requests that
+// arrive while the replica is busy. An opt-in max_wait_micros hold keeps a
+// batch open until it fills or its oldest request has waited that long.
 //
 // Batching is invisible in the results: request i carries its own RNG stream
 // (Rng::from_stream(seed, stream)) and the engine runs per-sample batch-norm
@@ -90,7 +92,10 @@ class ResponseFuture {
 
 struct BatchPolicy {
   std::size_t max_batch_size = 8;
-  std::uint64_t max_wait_micros = 2000;
+  /// Opt-in hold: keep a partial batch open until it fills or its oldest
+  /// request has waited this long. 0 (default) runs whatever is queued as
+  /// soon as the replica is free.
+  std::uint64_t max_wait_micros = 0;
   /// Admission bound: pending + in-flight requests beyond this are rejected
   /// with Overloaded. 0 means unbounded.
   std::size_t max_queue_depth = 128;
@@ -139,9 +144,13 @@ class RequestBatcher {
                     std::uint64_t deadline_micros, std::optional<data::Condition> condition,
                     Completion done);
 
-  /// Queued + in-flight requests right now; the replica dispatcher's
-  /// least-loaded signal.
+  /// Queued + in-flight requests right now.
   std::size_t outstanding() const;
+
+  /// Batches a request submitted now would wait behind: the one in flight,
+  /// if any, plus the full batches already queued; max() when the admission
+  /// queue is full. The replica dispatcher's least-loaded signal.
+  std::size_t batches_ahead() const;
 
   /// Age of the oldest request this batcher owns (queued or in flight), in
   /// microseconds; 0 when idle. The supervisor's wedge-detection signal: a

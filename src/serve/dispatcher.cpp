@@ -68,9 +68,10 @@ std::size_t ReplicaDispatcher::pick_replica_locked() const {
     const Slot& slot = slots_[i];
     if (slot.quarantined || slot.batcher == nullptr) continue;
     // Strict < keeps ties on the lowest index: deterministic routing under
-    // equal load, so tests (and tracing) can predict placement.
-    const std::size_t load = slot.batcher->outstanding();
-    if (load < best_load) {
+    // equal load, so tests (and tracing) can predict placement. A full
+    // replica is picked only when every replica is full; its submit sheds.
+    const std::size_t load = slot.batcher->batches_ahead();
+    if (best == slots_.size() || load < best_load) {
       best = i;
       best_load = load;
     }

@@ -3,12 +3,16 @@
 //
 // Each replica (an InferenceEngine over its own copy of the model weights)
 // gets its own RequestBatcher and executor thread; the dispatcher routes each
-// request to the healthy replica with the fewest outstanding requests
-// (queued + in-flight), breaking ties deterministically toward the lowest
-// index. Because every request carries its own RNG stream and the engine
-// runs per-sample batch norm, the routing decision is invisible in the
-// results: any replica returns the same bits for the same (seed, stream, PL
-// array).
+// request to the healthy replica with the fewest batches ahead of it (the
+// one in flight plus the full batches queued), breaking ties
+// deterministically toward the lowest index. An idle replica therefore takes
+// a request at once, while requests arriving when every replica is busy
+// fill one replica's next batch before starting another's: split evenly,
+// they would leave each replica a partial batch to run. At max_batch_size 1
+// this is plain fewest-outstanding routing. Because every request carries
+// its own RNG stream and the engine runs per-sample batch norm, the routing
+// decision is invisible in the results: any replica returns the same bits
+// for the same (seed, stream, PL array).
 //
 // Supervision (registry-backed constructor only): a background thread scans
 // every check_interval. A replica whose oldest owned request is older than

@@ -18,7 +18,8 @@
 //                on a small multi-condition grid and additionally answers
 //                kThresholdQuery (wear-aware read-threshold optimization)
 //   max_batch    default 8
-//   max_wait_us  default 2000
+//   max_wait_us  opt-in batch hold; default 0 (a free replica runs whatever
+//                is queued at once)
 // Flags:
 //   --tcp               shorthand for the endpoint "tcp:127.0.0.1:7070"
 //                       (overridden by an explicit endpoint positional)
@@ -204,7 +205,7 @@ int main(int argc, char** argv) {
   serve::Server server(registry, options);
   server.start();
   std::printf(
-      "serving %zu model(s) x%d replica(s) on %s (batch<=%zu, wait<=%lluus, queue<=%zu); enter or "
+      "serving %zu model(s) x%d replica(s) on %s (batch<=%zu, hold=%lluus, queue<=%zu); enter or "
       "SIGTERM to drain\n",
       registry.size(), replicas, server.endpoint().c_str(), policy.max_batch_size,
       static_cast<unsigned long long>(policy.max_wait_micros), policy.max_queue_depth);

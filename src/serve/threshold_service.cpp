@@ -11,10 +11,12 @@ namespace flashgen::serve {
 std::vector<std::vector<float>> DispatcherSampler::sample(
     std::span<const thresholds::RowRequest> rows, std::uint64_t seed,
     const data::Condition& condition) {
-  // Fan the wave out across the fleet, then collect in request order. Each
+  // Fan every row out across the fleet, then collect in request order. Each
   // row's voltages depend only on (weights, PL row, seed, stream, condition),
-  // so the routing decisions are invisible in the result. A shed or failed
-  // row throws out of get() and fails the whole query, typed.
+  // so the routing decisions are invisible in the result. A row shed at
+  // admission throws Overloaded from submit(), a failed row throws out of
+  // get(); either fails the whole query, typed. Rows already admitted still
+  // run; their completions land in promises nobody waits on.
   std::vector<ResponseFuture> futures;
   futures.reserve(rows.size());
   for (const auto& row : rows) {

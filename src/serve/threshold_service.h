@@ -1,14 +1,14 @@
 // ThresholdService: wear-aware read-threshold optimization behind the serve
 // front end.
 //
-// A kThresholdQuery costs waves x batch_rows model forward passes — far too
-// heavy for the epoll loop thread. Each condition-aware model gets one
-// ThresholdService: a worker thread that pops queries from a bounded queue,
-// runs the ThresholdOptimizer (sampling THROUGH the model's
-// ReplicaDispatcher, so the heavy lifting lands on the replica executor
-// threads and obeys their admission bounds), and hands the report to a
-// completion callback. The epoll server re-enters its loop through the same
-// completion-queue + eventfd path as generate requests.
+// A cold kThresholdQuery generates waves x batch_rows rows, handed to the
+// fleet in one sampler call — far too heavy for the epoll loop thread. Each
+// condition-aware model gets one ThresholdService: a worker thread that pops
+// queries from a bounded queue, runs the ThresholdOptimizer (sampling
+// THROUGH the model's ReplicaDispatcher, so the heavy lifting lands on the
+// replica executor threads and obeys their admission bounds), and hands the
+// report to a completion callback. The epoll server re-enters its loop
+// through the same completion-queue + eventfd path as generate requests.
 //
 // Determinism: DispatcherSampler submits each sampling row with its own
 // counter-derived stream, and replies carry no per-query entropy — a
@@ -18,7 +18,11 @@
 //
 // Admission: submit_async throws Overloaded when the service queue is at its
 // bound or the service is closed; per-tenant token buckets run in the server
-// ahead of this queue, exactly as for generates.
+// ahead of this queue, exactly as for generates. A cold query then submits
+// all waves x batch_rows rows to the dispatcher at once, so it needs that
+// many free replica admission slots at the same time (healthy replicas x
+// BatchPolicy::max_queue_depth is the fleet's total). When a row is shed the
+// query fails with a typed Overloaded reply; it never waits for capacity.
 #pragma once
 
 #include <cstddef>
@@ -35,9 +39,10 @@
 namespace flashgen::serve {
 
 /// ChannelSampler over the replica fleet: each row becomes one conditioned
-/// least-loaded submit carrying the row's own RNG stream; results are
-/// collected in request order, so reports match the in-process ModelSampler
-/// bit-for-bit at any replica count or batching.
+/// least-loaded submit carrying the row's own RNG stream, all submitted
+/// before any is awaited; results are collected in request order, so reports
+/// match the in-process ModelSampler bit-for-bit at any replica count or
+/// batching.
 class DispatcherSampler : public thresholds::ChannelSampler {
  public:
   /// `dispatcher` must outlive the sampler.

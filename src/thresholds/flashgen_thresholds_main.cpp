@@ -18,8 +18,9 @@
 //                          defaults the checkpoint is shared with
 //                          flashgen_serve's Temporal model and the
 //                          thresholds_accuracy bench
-//   --waves=N              sampling waves per query (default 8)
-//   --batch-rows=N         rows generated per wave (default 8)
+//   --waves=N              with --batch-rows, sets the rows sampled per
+//                          query: waves x batch-rows (default 8)
+//   --batch-rows=N         (default 8); all rows go to the model in one call
 //   --seed=N               optimizer sampling seed (default 0x7451)
 //   --refine-sweeps=N      coordinate-descent sweeps (default 3)
 //   --smoothing=N          histogram smoothing window (default 5)

@@ -148,42 +148,38 @@ ThresholdReport ThresholdOptimizer::compute(const data::Condition& condition) {
   eval::ConditionalHistograms hists(config_.histogram);
   const int cells = config_.side * config_.side;
 
-  // Sample wave-by-wave: each global row g carries its own PL stream
-  // (kPlStreamBase + g) and latent stream (g), both pure functions of g, so
-  // the accumulated histograms do not depend on wave/batch boundaries.
-  std::vector<RowRequest> batch(static_cast<std::size_t>(config_.batch_rows));
-  std::vector<std::vector<std::uint8_t>> batch_levels(
-      static_cast<std::size_t>(config_.batch_rows));
-  for (int wave = 0; wave < config_.waves; ++wave) {
-    for (int r = 0; r < config_.batch_rows; ++r) {
-      const std::uint64_t g = static_cast<std::uint64_t>(wave) *
-                                  static_cast<std::uint64_t>(config_.batch_rows) +
-                              static_cast<std::uint64_t>(r);
-      Rng pl_rng = Rng::from_stream(config_.seed, kPlStreamBase + g);
-      auto& levels = batch_levels[static_cast<std::size_t>(r)];
-      auto& pl = batch[static_cast<std::size_t>(r)].program_levels;
-      levels.resize(static_cast<std::size_t>(cells));
-      pl.resize(static_cast<std::size_t>(cells));
-      for (int i = 0; i < cells; ++i) {
-        const int level = static_cast<int>(pl_rng.uniform_int(flash::kTlcLevels));
-        levels[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(level);
-        pl[static_cast<std::size_t>(i)] = normalizer.normalize_level(level);
-      }
-      batch[static_cast<std::size_t>(r)].stream = g;
+  // All waves * batch_rows rows go to the sampler in one call, so a fleet
+  // sampler can spread the whole query over every replica at once. Global
+  // row g carries its own PL stream (kPlStreamBase + g) and latent stream
+  // (g), both pure functions of g, and the histograms fill in row order, so
+  // the report does not depend on how the sampler batches the rows.
+  const auto total_rows = static_cast<std::size_t>(config_.waves) *
+                          static_cast<std::size_t>(config_.batch_rows);
+  std::vector<RowRequest> requests(total_rows);
+  std::vector<std::vector<std::uint8_t>> row_levels(total_rows);
+  for (std::size_t g = 0; g < total_rows; ++g) {
+    Rng pl_rng = Rng::from_stream(config_.seed, kPlStreamBase + g);
+    auto& levels = row_levels[g];
+    auto& pl = requests[g].program_levels;
+    levels.resize(static_cast<std::size_t>(cells));
+    pl.resize(static_cast<std::size_t>(cells));
+    for (int i = 0; i < cells; ++i) {
+      const int level = static_cast<int>(pl_rng.uniform_int(flash::kTlcLevels));
+      levels[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(level);
+      pl[static_cast<std::size_t>(i)] = normalizer.normalize_level(level);
     }
-    const std::vector<std::vector<float>> rows =
-        sampler_.sample(batch, config_.seed, condition);
-    FG_CHECK(rows.size() == batch.size(),
-             "ThresholdOptimizer: sampler returned " << rows.size() << " rows for batch "
-                                                     << batch.size());
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      FG_CHECK(rows[r].size() == static_cast<std::size_t>(cells),
-               "ThresholdOptimizer: sampler row holds " << rows[r].size() << " cells, want "
-                                                        << cells);
-      for (int i = 0; i < cells; ++i) {
-        hists.add(batch_levels[r][static_cast<std::size_t>(i)],
-                  normalizer.denormalize_voltage(rows[r][static_cast<std::size_t>(i)]));
-      }
+    requests[g].stream = g;
+  }
+  const std::vector<std::vector<float>> rows = sampler_.sample(requests, config_.seed, condition);
+  FG_CHECK(rows.size() == total_rows,
+           "ThresholdOptimizer: sampler returned " << rows.size() << " rows for " << total_rows);
+  for (std::size_t g = 0; g < total_rows; ++g) {
+    FG_CHECK(rows[g].size() == static_cast<std::size_t>(cells),
+             "ThresholdOptimizer: sampler row holds " << rows[g].size() << " cells, want "
+                                                      << cells);
+    for (int i = 0; i < cells; ++i) {
+      hists.add(row_levels[g][static_cast<std::size_t>(i)],
+                normalizer.denormalize_voltage(rows[g][static_cast<std::size_t>(i)]));
     }
   }
 

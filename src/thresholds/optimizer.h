@@ -8,8 +8,8 @@
 // by sampling the trained conditional model instead of destructive
 // characterization of real silicon:
 //
-//   1. Draw PL/VL sample batches at the queried condition through a
-//      ChannelSampler (in-process model, or the serving fleet) and
+//   1. Draw waves * batch_rows PL/VL sample rows at the queried condition in
+//      one ChannelSampler call (in-process model, or the serving fleet) and
 //      accumulate per-level eval::ConditionalHistograms.
 //   2. Derive candidate thresholds with eval::thresholds_from_histograms
 //      (the paper's smoothed-PDF crossing search).
@@ -77,9 +77,9 @@ class ChannelSampler {
 struct OptimizerConfig {
   /// Sampled PL arrays are side x side cells (must match the model).
   int side = 16;
-  /// Rows per ChannelSampler call.
+  /// Sampled rows per cold query = waves * batch_rows; all of them go to the
+  /// ChannelSampler in one call, which batches them as it sees fit.
   int batch_rows = 8;
-  /// Total sampled rows = waves * batch_rows.
   int waves = 8;
   /// Base seed for the counter-derived PL and latent streams.
   std::uint64_t seed = 0x7451;

@@ -142,7 +142,6 @@ TEST_F(ServeFaultsTest, AdmissionQueueBoundShedsExcess) {
   InferenceEngine engine(gate);
   BatchPolicy policy;
   policy.max_batch_size = 1;
-  policy.max_wait_micros = 0;
   policy.max_queue_depth = 2;
   ServeMetrics metrics;
   RequestBatcher batcher(engine, Shape({1, 8, 8}), policy, &metrics);
@@ -168,7 +167,6 @@ TEST_F(ServeFaultsTest, ExpiredQueuedDeadlinesAreShed) {
   InferenceEngine engine(gate);
   BatchPolicy policy;
   policy.max_batch_size = 1;
-  policy.max_wait_micros = 0;
   ServeMetrics metrics;
   RequestBatcher batcher(engine, Shape({1, 8, 8}), policy, &metrics);
 
@@ -191,7 +189,6 @@ TEST_F(ServeFaultsTest, ClosedBatcherRejectsNewWorkButFinishesAdmitted) {
   InferenceEngine engine(gate);
   BatchPolicy policy;
   policy.max_batch_size = 1;
-  policy.max_wait_micros = 0;
   RequestBatcher batcher(engine, Shape({1, 8, 8}), policy);
 
   const std::vector<float> row = test_row();

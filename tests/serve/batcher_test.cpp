@@ -1,10 +1,14 @@
 // RequestBatcher tests: batching must be invisible in the results (a request
 // coalesced into a batch of 8 returns the same bits as the request run
-// alone), and the wait policy must flush partial batches.
+// alone), the default executor must run whatever is queued as soon as its
+// replica is free, and the opt-in hold must flush partial batches.
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <future>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -35,6 +39,54 @@ models::NetworkConfig tiny_network_config() {
   config.z_dim = 4;
   return config;
 }
+
+// Wraps a model and parks the first sample_rows() call until open() — a
+// replica that is busy for as long as the test wants. Later calls pass
+// straight through, so the bits are the wrapped model's.
+class GatedModel : public models::GenerativeModel {
+ public:
+  explicit GatedModel(models::GenerativeModel& inner) : inner_(inner) {}
+
+  std::string name() const override { return inner_.name(); }
+  models::TrainStats fit(const data::PairedDataset&, const models::TrainConfig&,
+                         flashgen::Rng&) override {
+    return {};
+  }
+  void prepare_generation() override { inner_.prepare_generation(); }
+  Tensor sample(const Tensor& pl, flashgen::Rng& rng) override { return inner_.sample(pl, rng); }
+  Tensor sample_rows(const Tensor& pl, std::span<flashgen::Rng> rngs) override {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      if (!entered_) {
+        entered_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return open_; });
+      }
+    }
+    return inner_.sample_rows(pl, rngs);
+  }
+  nn::Module& root_module() override { return inner_.root_module(); }
+
+  /// Blocks until the executor is parked inside the first batch.
+  void wait_entered() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [this] { return entered_; });
+  }
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  models::GenerativeModel& inner_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool open_ = false;
+};
 
 class BatcherTest : public ::testing::Test {
  protected:
@@ -105,8 +157,37 @@ TEST_F(BatcherTest, CoalescedBatchOfEightMatchesRequestAlone) {
   EXPECT_EQ(engine_->stats().batches, batches_before + 1);
 }
 
-// An isolated request must not wait for a full batch: the max_wait deadline
-// flushes a batch of one.
+// The default policy holds nothing: a lone request runs at once, and the
+// requests that queue while the replica is busy form the next batch. The
+// gate makes the split deterministic — no timing is asserted.
+TEST_F(BatcherTest, FreeReplicaTakesEverythingQueuedWithoutAHold) {
+  std::vector<std::vector<float>> expected;
+  for (std::size_t i = 0; i < 8; ++i) expected.push_back(alone(i));
+
+  GatedModel gated(*model_);
+  InferenceEngine engine(gated);
+  RequestBatcher batcher(engine, Shape({1, 8, 8}), BatchPolicy{});
+  ASSERT_EQ(batcher.policy().max_wait_micros, 0u);
+
+  std::vector<ResponseFuture> futures;
+  futures.push_back(batcher.submit(rows_[0], kSeed, /*stream=*/0));
+  gated.wait_entered();  // row 0 runs alone; the executor is now busy
+  for (std::size_t i = 1; i < 8; ++i)
+    futures.push_back(batcher.submit(rows_[i], kSeed, /*stream=*/i));
+  gated.open();
+  for (std::size_t i = 0; i < 8; ++i) {
+    const std::vector<float> got = futures[i].get();
+    ASSERT_EQ(got.size(), expected[i].size());
+    for (std::size_t j = 0; j < got.size(); ++j)
+      ASSERT_EQ(got[j], expected[i][j]) << "request " << i << " element " << j;
+  }
+  batcher.drain();
+  EXPECT_EQ(engine.stats().batches, 2u);
+  EXPECT_EQ(engine.stats().rows, 8u);
+}
+
+// An isolated request must not wait for a full batch: the opt-in hold's
+// deadline flushes a batch of one.
 TEST_F(BatcherTest, MaxWaitFlushesPartialBatch) {
   const std::vector<float> expected = alone(0);
 

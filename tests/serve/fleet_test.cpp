@@ -242,7 +242,6 @@ TEST_F(FleetTest, LeastLoadedTieBreaksToLowestIndex) {
 
   BatchPolicy policy;
   policy.max_batch_size = 1;
-  policy.max_wait_micros = 0;
   // Supervision disabled: blocked gates must not read as wedged replicas.
   ReplicaDispatcher dispatcher(registry, "Gate", policy, fast_supervisor(/*wedge=*/0));
   for (GateModel* gate : gates) gate->block();
@@ -269,6 +268,73 @@ TEST_F(FleetTest, LeastLoadedTieBreaksToLowestIndex) {
   EXPECT_EQ(dispatcher.quarantines(), 0u);  // nothing ever looked wedged
 }
 
+// Counting in batches: an idle replica takes a request at once, but with every
+// replica busy, arrivals fill one replica's next batch before starting the
+// next replica's, instead of leaving each a partial batch.
+TEST_F(FleetTest, BusyFleetFillsOneReplicasNextBatchFirst) {
+  ModelRegistry registry;
+  auto g0 = std::make_unique<GateModel>();
+  auto g1 = std::make_unique<GateModel>();
+  GateModel* gates[2] = {g0.get(), g1.get()};
+  registry.add("Gate", std::move(g0), Shape({1, 8, 8}), /*warmup_batch=*/0);
+  registry.add_replica("Gate", std::move(g1), /*warmup_batch=*/0);
+
+  BatchPolicy policy;
+  policy.max_batch_size = 4;
+  // Supervision disabled: blocked gates must not read as wedged replicas.
+  ReplicaDispatcher dispatcher(registry, "Gate", policy, fast_supervisor(/*wedge=*/0));
+  for (GateModel* gate : gates) gate->block();
+
+  const std::vector<float> row = test_row();
+  std::vector<ResponseFuture> futures;
+  futures.push_back(dispatcher.submit(row, 1, 0));
+  gates[0]->wait_entered(1);
+  EXPECT_EQ(dispatcher.least_loaded_replica(), 1u);  // idle beats busy
+  futures.push_back(dispatcher.submit(row, 1, 1));
+  gates[1]->wait_entered(1);
+  for (std::uint64_t stream = 2; stream < 6; ++stream) {
+    EXPECT_EQ(dispatcher.least_loaded_replica(), 0u) << "stream " << stream;
+    futures.push_back(dispatcher.submit(row, 1, stream));
+  }
+  // Replica 0's next batch is full: replica 1's queue starts.
+  EXPECT_EQ(dispatcher.least_loaded_replica(), 1u);
+
+  for (GateModel* gate : gates) gate->release();
+  for (auto& future : futures) EXPECT_EQ(future.get(), row);
+  dispatcher.drain();
+}
+
+// Routing in batches must not shrink admission: a full replica is skipped
+// while another has room, so the fleet admits replicas x max_queue_depth.
+TEST_F(FleetTest, FleetAdmitsEveryReplicasQueueDepth) {
+  ModelRegistry registry;
+  auto g0 = std::make_unique<GateModel>();
+  auto g1 = std::make_unique<GateModel>();
+  GateModel* gates[2] = {g0.get(), g1.get()};
+  registry.add("Gate", std::move(g0), Shape({1, 8, 8}), /*warmup_batch=*/0);
+  registry.add_replica("Gate", std::move(g1), /*warmup_batch=*/0);
+
+  BatchPolicy policy;
+  policy.max_batch_size = 8;
+  policy.max_queue_depth = 2;
+  ReplicaDispatcher dispatcher(registry, "Gate", policy, fast_supervisor(/*wedge=*/0));
+  for (GateModel* gate : gates) gate->block();
+
+  const std::vector<float> row = test_row();
+  std::vector<ResponseFuture> futures;
+  futures.push_back(dispatcher.submit(row, 1, 0));
+  gates[0]->wait_entered(1);
+  futures.push_back(dispatcher.submit(row, 1, 1));
+  gates[1]->wait_entered(1);
+  futures.push_back(dispatcher.submit(row, 1, 2));  // fills replica 0
+  futures.push_back(dispatcher.submit(row, 1, 3));  // so this goes to replica 1
+  EXPECT_THROW((void)dispatcher.submit(row, 1, 4), Overloaded);
+
+  for (GateModel* gate : gates) gate->release();
+  for (auto& future : futures) EXPECT_EQ(future.get(), row);
+  dispatcher.drain();
+}
+
 // ---------------------------------------------------------------------------
 // Supervision: wedge -> quarantine -> restart state machine.
 // ---------------------------------------------------------------------------
@@ -277,7 +343,6 @@ TEST_F(FleetTest, WedgedReplicaIsQuarantinedRestartedAndServesAgain) {
   ModelRegistry registry = make_echo_registry(2);
   BatchPolicy policy;
   policy.max_batch_size = 1;
-  policy.max_wait_micros = 0;
   ReplicaDispatcher dispatcher(registry, "Echo", policy, fast_supervisor());
 
   // First executed batch parks its executor mid-flight (the wedge seam).
@@ -310,7 +375,6 @@ TEST_F(FleetTest, RoutingSkipsQuarantinedReplicaWhileRestartFails) {
   ModelRegistry registry = make_echo_registry(2);
   BatchPolicy policy;
   policy.max_batch_size = 1;
-  policy.max_wait_micros = 0;
   ReplicaDispatcher dispatcher(registry, "Echo", policy, fast_supervisor());
 
   // Wedge replica 0's first batch and make every restart attempt fail, so
@@ -342,7 +406,6 @@ TEST_F(FleetTest, ErroringReplicaIsQuarantinedAndFleetRejectsTyped) {
   ModelRegistry registry = make_echo_registry(1);
   BatchPolicy policy;
   policy.max_batch_size = 1;
-  policy.max_wait_micros = 0;
   // Wedge detection off; quarantine purely on consecutive batch errors.
   ReplicaDispatcher dispatcher(registry, "Echo", policy,
                                fast_supervisor(/*wedge=*/0, /*max_errors=*/2));
@@ -376,7 +439,6 @@ TEST_F(FleetTest, HealthReportsDegradedWhileReplicaQuarantined) {
   ServerOptions options;
   options.endpoint = socket_path_;
   options.policy.max_batch_size = 1;
-  options.policy.max_wait_micros = 0;
   options.supervisor = fast_supervisor();
   Server server(registry, options);
   server.start();
@@ -447,7 +509,6 @@ TEST_F(FleetTest, OverRateTenantIsShedTypedWithoutTouchingOthers) {
   ServerOptions options;
   options.endpoint = socket_path_;
   options.policy.max_batch_size = 1;
-  options.policy.max_wait_micros = 0;
   options.tenant.rate_per_sec = 1.0;  // refill far slower than the test runs
   options.tenant.burst = 1.0;
   Server server(registry, options);
@@ -479,7 +540,6 @@ TEST_F(FleetTest, ClientRetryBacksOffPastRateLimitAndSucceeds) {
   ServerOptions options;
   options.endpoint = socket_path_;
   options.policy.max_batch_size = 1;
-  options.policy.max_wait_micros = 0;
   options.tenant.rate_per_sec = 50.0;  // one token every 20ms
   options.tenant.burst = 1.0;
   Server server(registry, options);
@@ -510,7 +570,6 @@ TEST_F(FleetTest, V1ClientsInteroperateBitIdentically) {
   ServerOptions options;
   options.endpoint = socket_path_;
   options.policy.max_batch_size = 1;
-  options.policy.max_wait_micros = 0;
   Server server(registry, options);
   server.start();
 
@@ -542,7 +601,6 @@ TEST_F(FleetTest, IdleConnectionsAreEvictedWhileActiveOnesSurvive) {
   ServerOptions options;
   options.endpoint = socket_path_;
   options.policy.max_batch_size = 1;
-  options.policy.max_wait_micros = 0;
   options.idle_timeout_micros = 50'000;
   Server server(registry, options);
   server.start();
@@ -572,7 +630,6 @@ TEST_F(FleetTest, PipelineCapEvictsConnectionWithTypedError) {
   ServerOptions options;
   options.endpoint = socket_path_;
   options.policy.max_batch_size = 1;
-  options.policy.max_wait_micros = 0;
   options.max_pipelined_requests = 2;
   Server server(registry, options);
   server.start();
@@ -604,7 +661,6 @@ TEST_F(FleetTest, BufferedBytesCapEvictsSlowLorisFrames) {
   ServerOptions options;
   options.endpoint = socket_path_;
   options.policy.max_batch_size = 1;
-  options.policy.max_wait_micros = 0;
   options.max_conn_buffered_bytes = 1024;
   Server server(registry, options);
   server.start();
@@ -641,7 +697,6 @@ TEST_F(FleetTest, DrainAnswersEveryPipelinedRequestDespiteWedgedReplica) {
   ServerOptions options;
   options.endpoint = socket_path_;
   options.policy.max_batch_size = 1;
-  options.policy.max_wait_micros = 0;
   options.supervisor = fast_supervisor();
   Server server(registry, options);
   server.start();

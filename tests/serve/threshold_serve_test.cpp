@@ -176,6 +176,40 @@ TEST(ThresholdServe, OverRateTenantIsShedWithRateLimited) {
   server.drain_and_stop();
 }
 
+// A cold query submits all waves * batch_rows rows at once, so it needs that
+// many free admission slots across the fleet. A fleet with fewer answers it
+// with a typed Overloaded reply rather than hanging, and keeps serving
+// generates.
+TEST(ThresholdServe, ColdQueryBeyondFleetAdmissionIsShedTyped) {
+  ModelRegistry registry;
+  registry.add("Temporal", temporal_model(), Shape({1, kSide, kSide}), /*warmup_batch=*/2);
+  registry.add_replica("Temporal", temporal_model(), /*warmup_batch=*/2);
+  const std::string socket_path = unique_socket("");
+  ServerOptions options = small_options(socket_path);
+  options.policy.max_queue_depth = 2;  // 2 replicas x 2 slots = 4 rows admitted
+  options.threshold.optimizer.waves = 4;
+  options.threshold.optimizer.batch_rows = 16;  // 64 rows per cold query
+  Server server(registry, options);
+  server.start();
+
+  Client client(socket_path);
+  EXPECT_THROW((void)client.threshold_query(worn_query()), Overloaded);
+
+  // The rows admitted before the shed may still be running; a retried
+  // generate gets through once they finish.
+  GenerateRequest generate;
+  generate.model = "Temporal";
+  generate.seed = 3;
+  generate.stream = 1;
+  generate.side = kSide;
+  generate.program_levels.assign(kSide * kSide, 0.0f);
+  RetryPolicy retry;
+  retry.max_attempts = 10;  // backoff grows to ~0.5 s in total
+  EXPECT_EQ(client.generate_with_retry(generate, retry).voltages.size(),
+            static_cast<std::size_t>(kSide) * kSide);
+  server.drain_and_stop();
+}
+
 // The acceptance bar: one wear-state query answered bit-identically whatever
 // the thread count, replica count, or cache temperature. Every (threads,
 // replicas) cell runs its own freshly built server (identical seeds =>

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "common/error.h"
@@ -177,6 +179,45 @@ TEST(ThresholdOptimizer, ZeroCapacityDisablesCaching) {
   EXPECT_FALSE(optimizer.optimize({4000.0, 0.0}).from_cache);
   EXPECT_FALSE(optimizer.optimize({4000.0, 0.0}).from_cache);
   EXPECT_EQ(optimizer.cache_hits(), 0u);
+}
+
+// Answers a request in slices of `slice` rows, one inner call per slice —
+// the shape of a sampler that batches the rows its own way.
+class SlicingSampler : public ChannelSampler {
+ public:
+  SlicingSampler(ChannelSampler& inner, std::size_t slice) : inner_(inner), slice_(slice) {}
+
+  std::vector<std::vector<float>> sample(std::span<const RowRequest> rows, std::uint64_t seed,
+                                         const data::Condition& condition) override {
+    std::vector<std::vector<float>> out;
+    for (std::size_t start = 0; start < rows.size(); start += slice_) {
+      auto part = inner_.sample(rows.subspan(start, std::min(slice_, rows.size() - start)), seed,
+                                condition);
+      for (auto& row : part) out.push_back(std::move(row));
+    }
+    return out;
+  }
+
+ private:
+  ChannelSampler& inner_;
+  std::size_t slice_;
+};
+
+// A cold query is one sampler call over all waves * batch_rows rows, so a
+// fleet sampler can spread the whole query at once; how the sampler slices
+// the rows never shows in the report.
+TEST(ThresholdOptimizer, ColdQueryIsOneSamplerCallIndependentOfSlicing) {
+  const OptimizerConfig config = small_config();
+  GaussianSampler whole;
+  ThresholdOptimizer one_call(whole, config);
+  const ThresholdReport report = one_call.optimize({7000.0, 120.0});
+  EXPECT_EQ(whole.calls, 1);
+
+  GaussianSampler inner;
+  SlicingSampler sliced(inner, static_cast<std::size_t>(config.batch_rows));
+  ThresholdOptimizer by_slices(sliced, config);
+  expect_same_report(report, by_slices.optimize({7000.0, 120.0}));
+  EXPECT_EQ(inner.calls, config.waves);
 }
 
 TEST(ThresholdOptimizer, RejectsInvalidConfig) {
