@@ -123,6 +123,10 @@ TEST(DistTrainTest, CganBitIdenticalAcrossWorldSizes) {
   expect_bit_identical_across_worlds(core::ModelKind::Cgan);
 }
 
+TEST(DistTrainTest, TemporalBitIdenticalAcrossWorldSizes) {
+  expect_bit_identical_across_worlds(core::ModelKind::Temporal);
+}
+
 TEST(DistTrainTest, CvaeBitIdenticalAcrossWorldSizes) {
   const auto train = tiny_train_config();
   EXPECT_EQ(train_on_threads(core::ModelKind::Cvae, 2, 4, train).blob,

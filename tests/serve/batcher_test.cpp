@@ -226,6 +226,50 @@ TEST_F(BatcherTest, ConcurrentSubmissionsAreIndependent) {
   }
 }
 
+// A batch mixing rows at explicit conditions with unconditioned rows runs in
+// one engine call: each conditioned row matches the same row run alone at its
+// condition, and each unconditioned row matches the same row run alone at the
+// model's default condition.
+TEST_F(BatcherTest, MixedConditionBatchMatchesRowsAlone) {
+  auto conditioned = core::make_model(core::ModelKind::Temporal, tiny_network_config(), 7);
+  InferenceEngine engine(*conditioned);
+  const std::vector<data::Condition> at = {{2000.0, 10.0},
+                                           {9000.0, 500.0},
+                                           conditioned->default_condition(),
+                                           conditioned->default_condition()};
+  std::vector<std::vector<float>> expected;
+  for (std::size_t i = 0; i < at.size(); ++i) {
+    Tensor pl = Tensor::from_data(Shape({1, 1, 8, 8}), rows_[i]);
+    std::vector<flashgen::Rng> rngs = {flashgen::Rng::from_stream(kSeed, i)};
+    std::vector<float> out(kRowElems);
+    engine.generate_into_at(pl, std::span<const data::Condition>(&at[i], 1), rngs, out);
+    expected.push_back(std::move(out));
+  }
+  ASSERT_NE(expected[0], expected[1]) << "the condition must reach the generator";
+
+  BatchPolicy policy;
+  policy.max_batch_size = 4;
+  policy.max_wait_micros = 200000;  // ample: all 4 must land in one batch
+  RequestBatcher batcher(engine, Shape({1, 8, 8}), policy);
+  const auto batches_before = engine.stats().batches;
+  std::vector<ResponseFuture> futures;
+  futures.push_back(batcher.submit(rows_[0], kSeed, /*stream=*/0, /*deadline_micros=*/0, at[0]));
+  futures.push_back(batcher.submit(rows_[1], kSeed, /*stream=*/1, /*deadline_micros=*/0, at[1]));
+  futures.push_back(batcher.submit(rows_[2], kSeed, /*stream=*/2));
+  futures.push_back(batcher.submit(rows_[3], kSeed, /*stream=*/3));
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    EXPECT_EQ(futures[i].get(), expected[i]) << "request " << i;
+  }
+  batcher.drain();
+  EXPECT_EQ(engine.stats().batches, batches_before + 1);
+}
+
+TEST_F(BatcherTest, ConditionedSubmitToUnconditionedModelThrows) {
+  RequestBatcher batcher(*engine_, Shape({1, 8, 8}), BatchPolicy{});
+  EXPECT_THROW((void)batcher.submit(rows_[0], kSeed, 0, 0, data::Condition{1000.0, 0.0}),
+               Error);
+}
+
 TEST_F(BatcherTest, RejectsWrongRowSize) {
   RequestBatcher batcher(*engine_, Shape({1, 8, 8}), BatchPolicy{});
   EXPECT_THROW((void)batcher.submit(std::vector<float>(7), kSeed, 0), Error);
