@@ -29,7 +29,8 @@ int main() {
   const data::PairedDataset multi =
       data::PairedDataset::generate_multi(multi_config, train_conditions, data_rng);
 
-  models::TemporalCvaeGanModel temporal(config.network, pe_scale, config.seed ^ 0xF1A5Bu);
+  models::TemporalCvaeGanModel temporal(config.network, pe_scale, /*retention_scale=*/1000.0,
+                                        config.seed ^ 0xF1A5Bu);
   const std::string ckpt = "flashgen_cache/temporal-cvae-gan.ckpt";
   Rng train_rng(config.seed + 41);
   if (std::filesystem::exists(ckpt)) {
@@ -55,14 +56,15 @@ int main() {
     eval::ConditionalHistograms fixed_hists(config.histogram);
     eval::ConditionalHistograms temporal_hists(config.histogram);
     Rng gen_rng(99);
+    temporal.set_generation_condition({pe, 0.0});
     for (std::size_t i = 0; i < measured.size(); ++i) {
       const auto& pl_grid = measured.program_levels()[i];
       measured_hists.add_grids(pl_grid, measured.voltages()[i]);
       const tensor::Tensor pl = measured.levels_to_tensor(pl_grid);
       fixed_hists.add_grids(pl_grid,
                             measured.tensor_to_voltages(fixed->generate(pl, gen_rng)));
-      temporal_hists.add_grids(
-          pl_grid, measured.tensor_to_voltages(temporal.generate_at(pl, pe, gen_rng)));
+      temporal_hists.add_grids(pl_grid,
+                               measured.tensor_to_voltages(temporal.generate(pl, gen_rng)));
     }
     const double tv_fixed = eval::tv_distance(measured_hists.overall(), fixed_hists.overall());
     const double tv_temporal =

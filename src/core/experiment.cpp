@@ -249,8 +249,8 @@ ModelEvaluation Experiment::evaluate(models::GenerativeModel& model) {
   result.name = model.name();
   // Condition-aware models are scored at the eval split's characterization
   // condition (the eval set is always single-condition).
-  if (auto* temporal = dynamic_cast<models::TemporalCvaeGanModel*>(&model)) {
-    temporal->set_generation_condition(
+  if (model.condition_aware()) {
+    dynamic_cast<models::CvaeGanModel&>(model).set_generation_condition(
         {config_.dataset.pe_cycles, config_.dataset.retention_hours});
   }
 

@@ -21,7 +21,8 @@ class BicycleGanModel : public GenerativeModel {
                  flashgen::Rng& rng) override;
   void prepare_generation() override;
   Tensor sample(const Tensor& pl, flashgen::Rng& rng) override;
-  Tensor sample_rows(const Tensor& pl, std::span<flashgen::Rng> rngs) override;
+  Tensor sample_rows(const Tensor& pl, std::span<flashgen::Rng> rngs,
+                     std::span<const data::Condition> conditions) override;
   nn::Module& root_module() override { return root_; }
   std::unique_ptr<ShardedStepper> make_sharded_stepper(const TrainConfig& config) override;
 

@@ -159,7 +159,8 @@ Tensor CganModel::sample(const Tensor& pl, flashgen::Rng& rng) {
   return root_.generator.forward(pl, Tensor(), rng);
 }
 
-Tensor CganModel::sample_rows(const Tensor& pl, std::span<flashgen::Rng> rngs) {
+Tensor CganModel::sample_rows(const Tensor& pl, std::span<flashgen::Rng> rngs,
+                              std::span<const data::Condition> /*conditions*/) {
   return root_.generator.forward_rows(pl, Tensor(), rngs);
 }
 

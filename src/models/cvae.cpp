@@ -113,7 +113,8 @@ Tensor CvaeModel::sample(const Tensor& pl, flashgen::Rng& rng) {
   return root_.generator.forward(pl, z, rng);
 }
 
-Tensor CvaeModel::sample_rows(const Tensor& pl, std::span<flashgen::Rng> rngs) {
+Tensor CvaeModel::sample_rows(const Tensor& pl, std::span<flashgen::Rng> rngs,
+                              std::span<const data::Condition> /*conditions*/) {
   const Tensor z = detail::latent_rows(pl.shape()[0], config_.z_dim, rngs);
   return root_.generator.forward_rows(pl, z, rngs);
 }

@@ -81,7 +81,8 @@ Tensor GaussianModel::sample(const Tensor& pl, flashgen::Rng& rng) {
   return out;
 }
 
-Tensor GaussianModel::sample_rows(const Tensor& pl, std::span<flashgen::Rng> rngs) {
+Tensor GaussianModel::sample_rows(const Tensor& pl, std::span<flashgen::Rng> rngs,
+                                  std::span<const data::Condition> /*conditions*/) {
   const auto n = pl.shape()[0];
   FG_CHECK(static_cast<tensor::Index>(rngs.size()) == n,
            "sample_rows: " << rngs.size() << " streams for batch " << pl.shape());

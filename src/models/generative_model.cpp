@@ -34,16 +34,8 @@ Tensor GenerativeModel::generate(const Tensor& pl, flashgen::Rng& rng) {
   return sample(pl, rng);
 }
 
-Tensor GenerativeModel::generate_rows(const Tensor& pl, std::span<flashgen::Rng> rngs) {
-  FG_CHECK(pl.shape().rank() >= 1 &&
-               static_cast<Index>(rngs.size()) == pl.shape()[0],
-           "generate_rows: " << rngs.size() << " streams for batch " << pl.shape());
-  prepare_generation();
-  tensor::NoGradGuard no_grad;
-  return sample_rows(pl, rngs);
-}
-
-Tensor GenerativeModel::sample_rows(const Tensor& pl, std::span<flashgen::Rng> rngs) {
+Tensor GenerativeModel::sample_rows(const Tensor& pl, std::span<flashgen::Rng> rngs,
+                                    std::span<const data::Condition> /*conditions*/) {
   const Index n = pl.shape()[0];
   FG_CHECK(static_cast<Index>(rngs.size()) == n,
            "sample_rows: " << rngs.size() << " streams for batch " << pl.shape());

@@ -143,48 +143,37 @@ class GenerativeModel {
   /// Non-virtual: runs prepare_generation() then sample() under NoGradGuard.
   Tensor generate(const Tensor& pl, flashgen::Rng& rng);
 
-  /// Generation with one RNG stream per row: row i consumes rngs[i] only, so
-  /// its values match generate() on that row alone with the same Rng. Models
-  /// whose generation path normalizes with batch statistics (cVAE-GAN, cGAN)
-  /// additionally need tensor::InferenceModeGuard active for the rows to
-  /// decouple; the serving engine always runs under it.
-  Tensor generate_rows(const Tensor& pl, std::span<flashgen::Rng> rngs);
-
   /// Puts the module tree into its generation configuration (training/eval
-  /// flags, fitted-state checks). Idempotent; generate()/generate_rows() call
-  /// it every time, the serving engine once before repeated sample calls.
+  /// flags, fitted-state checks). Idempotent; generate() calls it every time,
+  /// the serving engine once before repeated sample calls.
   virtual void prepare_generation() = 0;
 
   /// Model-specific sampling. Preconditions: prepare_generation() has run on
   /// this model and gradient recording is disabled.
   virtual Tensor sample(const Tensor& pl, flashgen::Rng& rng) = 0;
 
-  /// Row-streamed sampling (same preconditions as sample()). The default
-  /// slices the batch and runs sample() row by row; network models override
-  /// it with a single batched pass that keeps per-row draw sequences intact.
-  virtual Tensor sample_rows(const Tensor& pl, std::span<flashgen::Rng> rngs);
+  /// Row-streamed sampling (same preconditions as sample()): row i draws
+  /// only from rngs[i], so its values match generate() on that row alone
+  /// with the same Rng. Models whose generation path normalizes with batch
+  /// statistics (cVAE-GAN, cGAN) additionally need tensor::InferenceModeGuard
+  /// active for the rows to decouple; the serving engine always runs under
+  /// it.
+  ///
+  /// `conditions` is empty (every row at the model's default condition) or
+  /// holds one raw (PE, retention) condition per row; row i is then
+  /// generated as if its block sat at conditions[i]. Unconditioned models
+  /// ignore it. The default, for unconditioned models, slices the batch and
+  /// runs sample() row by row; network models override it with a single
+  /// batched pass that keeps per-row draw sequences intact.
+  virtual Tensor sample_rows(const Tensor& pl, std::span<flashgen::Rng> rngs,
+                             std::span<const data::Condition> conditions);
 
   /// True when the model learned P(VL | PL, condition) and accepts explicit
   /// per-row (PE, retention) conditions at generation time.
   virtual bool condition_aware() const { return false; }
 
-  /// Condition substituted for rows submitted without one when a serving
-  /// batch mixes conditioned and unconditioned requests (condition-aware
-  /// models only).
+  /// Condition a condition-aware model generates at when a row carries none.
   virtual data::Condition default_condition() const { return {}; }
-
-  /// Row-streamed sampling at explicit per-row conditions: row i is
-  /// generated as if its block sat at conditions[i], drawing only from
-  /// rngs[i] (same preconditions as sample_rows()). Only condition-aware
-  /// models implement it.
-  virtual Tensor sample_rows_at(const Tensor& pl, std::span<const data::Condition> conditions,
-                                std::span<flashgen::Rng> rngs) {
-    (void)pl;
-    (void)conditions;
-    (void)rngs;
-    FG_CHECK(false, name() << " does not support conditioned sampling");
-    return {};
-  }
 
   /// Serializable root module holding all trainable/buffer state.
   virtual nn::Module& root_module() = 0;

@@ -1,111 +1,28 @@
-// Spatio-temporal extension: the paper's stated "ultimate goal" (Section
-// III-A) of learning P(VL | PL, PE) — voltage arrays conditioned on the
-// program levels and the wear state of the block, here the pair
-// (P/E cycle count, retention time).
-//
-// The model is a cVAE-GAN whose generator and discriminator receive the
-// normalized (PE, retention) pair as extra conditioning inputs, injected like
-// the latent code (replicated spatially, concatenated into every Down layer).
-// Trained on a multi-condition dataset (PairedDataset::generate_multi) or a
-// condition-scheduled PrefetchSource stream, one network covers the channel
-// across its wear range and interpolates between characterized conditions.
+// Spatio-temporal extension: the paper's cVAE-GAN conditioned on the block's
+// wear state, the (P/E cycle count, retention time) pair. One CvaeGanModel
+// with condition_dims = 2 (see cvae_gan.h); this name keeps the
+// scale-explicit constructor.
 #pragma once
 
-#include "models/generative_model.h"
-#include "models/networks.h"
+#include "models/cvae_gan.h"
 
 namespace flashgen::models {
 
-class TemporalCvaeGanModel : public GenerativeModel {
+class TemporalCvaeGanModel : public CvaeGanModel {
  public:
   /// `pe_scale` / `retention_scale` are the condition values at which the
-  /// normalized conditioning inputs saturate at 1.0 (pick >= the largest
-  /// condition you train on). The two-argument form keeps the historic
-  /// default retention scale of 1000 hours.
-  TemporalCvaeGanModel(const NetworkConfig& config, double pe_scale, std::uint64_t seed);
+  /// normalized conditioning inputs saturate at 1.0.
   TemporalCvaeGanModel(const NetworkConfig& config, double pe_scale, double retention_scale,
-                       std::uint64_t seed);
-
-  std::string name() const override { return "cVAE-GAN(PE,ret)"; }
-
-  /// Trains across all (PE, retention) conditions present in the dataset.
-  TrainStats fit(const data::PairedDataset& dataset, const TrainConfig& config,
-                 flashgen::Rng& rng) override;
-
-  /// Streamed training. The source must serve raw condition rows
-  /// (next_batch_cond() with a defined cond tensor — EagerSource over a
-  /// generated dataset, or a PrefetchSource with a condition schedule).
-  TrainStats fit_stream(pipeline::SampleSource& source, const TrainConfig& config,
-                        flashgen::Rng& rng) override;
-
-  /// sample()/sample_rows() generate at the condition previously set via
-  /// set_generation_condition (defaults to pe_scale / 2 cycles at zero
-  /// retention). Prefer generate_at for explicit control.
-  void prepare_generation() override;
-  Tensor sample(const Tensor& pl, flashgen::Rng& rng) override;
-  Tensor sample_rows(const Tensor& pl, std::span<flashgen::Rng> rngs) override;
-
-  bool condition_aware() const override { return true; }
-  data::Condition default_condition() const override { return generation_condition_; }
-  Tensor sample_rows_at(const Tensor& pl, std::span<const data::Condition> conditions,
-                        std::span<flashgen::Rng> rngs) override;
-
-  /// Generates voltage arrays for `pl` as if the block had endured
-  /// `pe_cycles` program/erase cycles; the two-argument form reads
-  /// immediately after programming (zero retention).
-  Tensor generate_at(const Tensor& pl, double pe_cycles, flashgen::Rng& rng);
-  Tensor generate_at(const Tensor& pl, double pe_cycles, double retention_hours,
-                     flashgen::Rng& rng);
-
-  /// Sets the condition used by the GenerativeModel::generate interface.
-  /// set_generation_pe keeps the current retention (zero unless changed).
-  void set_generation_pe(double pe_cycles) { generation_condition_.pe_cycles = pe_cycles; }
-  void set_generation_condition(const data::Condition& condition) {
-    generation_condition_ = condition;
-  }
-
-  nn::Module& root_module() override { return root_; }
-  std::unique_ptr<ShardedStepper> make_sharded_stepper(const TrainConfig& config) override;
-  double pe_scale() const { return config_.pe_scale; }
-  double retention_scale() const { return config_.retention_scale; }
-  const NetworkConfig& network_config() const { return config_; }
-
- protected:
-  nn::CheckpointMeta checkpoint_meta() const override;
-  void validate_checkpoint_meta(const nn::CheckpointMeta& meta,
-                                const std::string& path) override;
-
- private:
-  /// Normalized (batch, 2) conditioning tensor with every row at `condition`.
-  Tensor condition_tensor(tensor::Index batch, const data::Condition& condition) const;
-
-  static NetworkConfig with_condition(NetworkConfig config, double pe_scale,
-                                      double retention_scale) {
-    config.condition_dims = 2;
-    config.pe_scale = pe_scale;
-    config.retention_scale = retention_scale;
-    return config;
-  }
-
-  struct Root : nn::Module {
-    flashgen::Rng init_rng;
-    ResNetEncoder encoder;
-    UNetGenerator generator;
-    PatchDiscriminator discriminator;
-    Root(const NetworkConfig& config, std::uint64_t seed)
-        : init_rng(seed),
-          encoder(config, init_rng),
-          generator(config, init_rng),
-          discriminator(config, init_rng) {
-      register_module("encoder", encoder);
-      register_module("generator", generator);
-      register_module("discriminator", discriminator);
-    }
-  };
-
-  NetworkConfig config_;
-  data::Condition generation_condition_;
-  Root root_;
+                       std::uint64_t seed)
+      : CvaeGanModel(
+            [&] {
+              NetworkConfig conditioned = config;
+              conditioned.condition_dims = 2;
+              conditioned.pe_scale = pe_scale;
+              conditioned.retention_scale = retention_scale;
+              return conditioned;
+            }(),
+            seed) {}
 };
 
 }  // namespace flashgen::models

@@ -95,19 +95,8 @@ std::vector<float> ResponseFuture::get() {
 }
 
 ResponseFuture RequestBatcher::submit(std::vector<float> program_levels, std::uint64_t seed,
-                                      std::uint64_t stream, std::uint64_t deadline_micros) {
-  auto promise = std::make_shared<std::promise<ResponseFuture::Outcome>>();
-  ResponseFuture future(promise->get_future());
-  submit_async(std::move(program_levels), seed, stream, deadline_micros,
-               [promise](std::vector<float>&& voltages, std::exception_ptr error) {
-                 promise->set_value(ResponseFuture::classify(std::move(voltages), std::move(error)));
-               });
-  return future;
-}
-
-ResponseFuture RequestBatcher::submit(std::vector<float> program_levels, std::uint64_t seed,
                                       std::uint64_t stream, std::uint64_t deadline_micros,
-                                      const data::Condition& condition) {
+                                      std::optional<data::Condition> condition) {
   auto promise = std::make_shared<std::promise<ResponseFuture::Outcome>>();
   ResponseFuture future(promise->get_future());
   submit_async(std::move(program_levels), seed, stream, deadline_micros, condition,
@@ -115,13 +104,6 @@ ResponseFuture RequestBatcher::submit(std::vector<float> program_levels, std::ui
                  promise->set_value(ResponseFuture::classify(std::move(voltages), std::move(error)));
                });
   return future;
-}
-
-void RequestBatcher::submit_async(std::vector<float> program_levels, std::uint64_t seed,
-                                  std::uint64_t stream, std::uint64_t deadline_micros,
-                                  Completion done) {
-  submit_async(std::move(program_levels), seed, stream, deadline_micros, std::nullopt,
-               std::move(done));
 }
 
 void RequestBatcher::submit_async(std::vector<float> program_levels, std::uint64_t seed,
@@ -316,19 +298,17 @@ void RequestBatcher::execute_batch(std::vector<Pending> batch) {
       conditioned = conditioned || batch[i].condition.has_value();
     }
 
-    std::vector<float> out(batch.size() * row_elems);
+    // Only a batch with a conditioned row carries per-row conditions; its
+    // unconditioned neighbors get the model's default condition, which is
+    // exactly what an empty condition span means — bit-identical either way.
+    std::vector<data::Condition> conditions;
     if (conditioned) {
-      // Mixed batches run every row through the conditioned path;
-      // unconditioned neighbors get the model's default condition, which is
-      // exactly what sample_rows() would have used — bit-identical either way.
-      std::vector<data::Condition> conditions;
       conditions.reserve(batch.size());
       const data::Condition fallback = engine_.model().default_condition();
       for (const Pending& p : batch) conditions.push_back(p.condition.value_or(fallback));
-      engine_.generate_into_at(pl, conditions, rngs, out);
-    } else {
-      engine_.generate_into(pl, rngs, out);
     }
+    std::vector<float> out(batch.size() * row_elems);
+    engine_.generate_into(pl, rngs, out, conditions);
     consecutive_errors_.store(0);
     if (metrics_ != nullptr) metrics_->record_batch(batch.size());
 

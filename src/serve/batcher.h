@@ -121,25 +121,20 @@ class RequestBatcher {
   /// Enqueues one sample (row_shape.numel() floats of normalized program
   /// levels). The future yields the generated voltages, or rethrows the
   /// engine's error. `deadline_micros` is a relative completion budget from
-  /// now; 0 disables it. Throws Overloaded when the admission queue is full
-  /// or the batcher is closed/draining.
+  /// now; 0 disables it. With a `condition` (raw physical (PE, retention)
+  /// units) the sample is generated at it; that needs a condition-aware
+  /// engine model and throws flashgen::Error synchronously otherwise. A
+  /// batch may mix conditioned and unconditioned requests: unconditioned
+  /// rows run at the model's default condition. Throws Overloaded when the
+  /// admission queue is full or the batcher is closed/draining.
   ResponseFuture submit(std::vector<float> program_levels, std::uint64_t seed,
-                        std::uint64_t stream, std::uint64_t deadline_micros = 0);
-
-  /// Conditioned submit: the sample is generated at `condition` (raw
-  /// physical (PE, retention) units). Requires a condition-aware engine
-  /// model; throws flashgen::Error synchronously otherwise. A batch may mix
-  /// conditioned and unconditioned requests — unconditioned rows run at the
-  /// model's default condition, bit-identical to the unconditioned path.
-  ResponseFuture submit(std::vector<float> program_levels, std::uint64_t seed,
-                        std::uint64_t stream, std::uint64_t deadline_micros,
-                        const data::Condition& condition);
+                        std::uint64_t stream, std::uint64_t deadline_micros = 0,
+                        std::optional<data::Condition> condition = std::nullopt);
 
   /// Callback flavor of submit() for event-loop callers that must not block
-  /// on a future. Admission errors (Overloaded) still throw synchronously on
-  /// the calling thread; execution errors arrive through the completion.
-  void submit_async(std::vector<float> program_levels, std::uint64_t seed, std::uint64_t stream,
-                    std::uint64_t deadline_micros, Completion done);
+  /// on a future. Admission errors (Overloaded, a rejected condition) still
+  /// throw synchronously on the calling thread; execution errors arrive
+  /// through the completion.
   void submit_async(std::vector<float> program_levels, std::uint64_t seed, std::uint64_t stream,
                     std::uint64_t deadline_micros, std::optional<data::Condition> condition,
                     Completion done);

@@ -81,13 +81,6 @@ std::size_t ReplicaDispatcher::pick_replica_locked() const {
 
 void ReplicaDispatcher::submit_async(std::vector<float> program_levels, std::uint64_t seed,
                                      std::uint64_t stream, std::uint64_t deadline_micros,
-                                     RequestBatcher::Completion done) {
-  submit_async(std::move(program_levels), seed, stream, deadline_micros, std::nullopt,
-               std::move(done));
-}
-
-void ReplicaDispatcher::submit_async(std::vector<float> program_levels, std::uint64_t seed,
-                                     std::uint64_t stream, std::uint64_t deadline_micros,
                                      std::optional<data::Condition> condition,
                                      RequestBatcher::Completion done) {
   // Pick and submit under the dispatcher lock so the supervisor cannot tear
@@ -109,19 +102,8 @@ void ReplicaDispatcher::submit_async(std::vector<float> program_levels, std::uin
 }
 
 ResponseFuture ReplicaDispatcher::submit(std::vector<float> program_levels, std::uint64_t seed,
-                                         std::uint64_t stream, std::uint64_t deadline_micros) {
-  auto promise = std::make_shared<std::promise<ResponseFuture::Outcome>>();
-  ResponseFuture future(promise->get_future());
-  submit_async(std::move(program_levels), seed, stream, deadline_micros,
-               [promise](std::vector<float>&& voltages, std::exception_ptr error) {
-                 promise->set_value(ResponseFuture::classify(std::move(voltages), std::move(error)));
-               });
-  return future;
-}
-
-ResponseFuture ReplicaDispatcher::submit(std::vector<float> program_levels, std::uint64_t seed,
                                          std::uint64_t stream, std::uint64_t deadline_micros,
-                                         const data::Condition& condition) {
+                                         std::optional<data::Condition> condition) {
   auto promise = std::make_shared<std::promise<ResponseFuture::Outcome>>();
   ResponseFuture future(promise->get_future());
   submit_async(std::move(program_levels), seed, stream, deadline_micros, condition,

@@ -91,25 +91,19 @@ class ReplicaDispatcher {
   ReplicaDispatcher(const ReplicaDispatcher&) = delete;
   ReplicaDispatcher& operator=(const ReplicaDispatcher&) = delete;
 
-  /// Least-loaded submit; see RequestBatcher::submit_async for semantics.
-  /// Throws Overloaded when the least-loaded healthy replica is at its
-  /// admission bound (the whole fleet is full), no replica is healthy, or
-  /// the dispatcher is closed.
-  void submit_async(std::vector<float> program_levels, std::uint64_t seed, std::uint64_t stream,
-                    std::uint64_t deadline_micros, RequestBatcher::Completion done);
-
-  /// Conditioned least-loaded submit (see RequestBatcher's conditioned
-  /// submit_async): the sample is generated at `condition` when set.
+  /// Least-loaded submit; see RequestBatcher::submit_async for semantics
+  /// (the sample is generated at `condition` when set). Throws Overloaded
+  /// when the least-loaded healthy replica is at its admission bound (the
+  /// whole fleet is full), no replica is healthy, or the dispatcher is
+  /// closed.
   void submit_async(std::vector<float> program_levels, std::uint64_t seed, std::uint64_t stream,
                     std::uint64_t deadline_micros, std::optional<data::Condition> condition,
                     RequestBatcher::Completion done);
 
-  /// Future flavor for blocking callers (tests).
+  /// Future flavor for blocking callers (tests, the threshold sampler).
   ResponseFuture submit(std::vector<float> program_levels, std::uint64_t seed,
-                        std::uint64_t stream, std::uint64_t deadline_micros = 0);
-  ResponseFuture submit(std::vector<float> program_levels, std::uint64_t seed,
-                        std::uint64_t stream, std::uint64_t deadline_micros,
-                        const data::Condition& condition);
+                        std::uint64_t stream, std::uint64_t deadline_micros = 0,
+                        std::optional<data::Condition> condition = std::nullopt);
 
   /// Stops admitting on every replica (graceful drain); idempotent. The
   /// supervisor keeps quarantining wedged replicas during the drain (so

@@ -24,13 +24,20 @@ void InferenceEngine::warmup(const Tensor& pl, int rounds) {
   }
 }
 
-Tensor InferenceEngine::sample_rows(const Tensor& pl, std::span<flashgen::Rng> rngs) {
+Tensor InferenceEngine::sample_rows(const Tensor& pl, std::span<flashgen::Rng> rngs,
+                                    std::span<const data::Condition> conditions) {
   FG_CHECK(pl.defined() && pl.shape().rank() >= 1 &&
-               static_cast<std::size_t>(pl.shape()[0]) == rngs.size(),
-           "InferenceEngine: " << rngs.size() << " streams for batch " << pl.shape());
+               static_cast<std::size_t>(pl.shape()[0]) == rngs.size() &&
+               (conditions.empty() || conditions.size() == rngs.size()),
+           "InferenceEngine: " << rngs.size() << " streams / " << conditions.size()
+                               << " conditions for batch " << pl.shape());
+  if (!conditions.empty()) {
+    FG_CHECK(model_.condition_aware(),
+             "InferenceEngine: model " << model_.name() << " does not accept conditions");
+  }
   FG_TRACE_SPAN("serve.infer", "serve");
   tensor::InferenceModeGuard inference;
-  Tensor out = model_.sample_rows(pl, rngs);
+  Tensor out = model_.sample_rows(pl, rngs, conditions);
   ++stats_.batches;
   stats_.rows += rngs.size();
   static stats::Counter& rows_total = stats::counter("serve.rows_inferred");
@@ -39,38 +46,9 @@ Tensor InferenceEngine::sample_rows(const Tensor& pl, std::span<flashgen::Rng> r
 }
 
 void InferenceEngine::generate_into(const Tensor& pl, std::span<flashgen::Rng> rngs,
-                                    std::span<float> out) {
-  Tensor result = sample_rows(pl, rngs);
-  FG_CHECK(result.data().size() == out.size(),
-           "InferenceEngine: output buffer holds " << out.size() << " floats but batch needs "
-                                                   << result.data().size());
-  std::copy(result.data().begin(), result.data().end(), out.begin());
-}
-
-Tensor InferenceEngine::sample_rows_at(const Tensor& pl,
-                                       std::span<const data::Condition> conditions,
-                                       std::span<flashgen::Rng> rngs) {
-  FG_CHECK(pl.defined() && pl.shape().rank() >= 1 &&
-               static_cast<std::size_t>(pl.shape()[0]) == rngs.size() &&
-               conditions.size() == rngs.size(),
-           "InferenceEngine: " << rngs.size() << " streams / " << conditions.size()
-                               << " conditions for batch " << pl.shape());
-  FG_CHECK(model_.condition_aware(),
-           "InferenceEngine: model " << model_.name() << " does not accept conditions");
-  FG_TRACE_SPAN("serve.infer", "serve");
-  tensor::InferenceModeGuard inference;
-  Tensor out = model_.sample_rows_at(pl, conditions, rngs);
-  ++stats_.batches;
-  stats_.rows += rngs.size();
-  static stats::Counter& rows_total = stats::counter("serve.rows_inferred");
-  rows_total.add(rngs.size());
-  return out;
-}
-
-void InferenceEngine::generate_into_at(const Tensor& pl,
-                                       std::span<const data::Condition> conditions,
-                                       std::span<flashgen::Rng> rngs, std::span<float> out) {
-  Tensor result = sample_rows_at(pl, conditions, rngs);
+                                    std::span<float> out,
+                                    std::span<const data::Condition> conditions) {
+  Tensor result = sample_rows(pl, rngs, conditions);
   FG_CHECK(result.data().size() == out.size(),
            "InferenceEngine: output buffer holds " << out.size() << " floats but batch needs "
                                                    << result.data().size());

@@ -11,7 +11,8 @@
 //
 // Determinism contract: generate_into(pl, rngs, out) row i equals
 // model.generate(row_i, rng_i) bit-for-bit when rng_i starts from the same
-// state as rngs[i].
+// state as rngs[i]. With per-row conditions, row i at condition c equals the
+// same request run alone at c, regardless of its batch neighbors.
 //
 // Threading: an engine instance is not thread-safe; the request batcher runs
 // one executor thread per engine. The model must not be trained while an
@@ -44,24 +45,20 @@ class InferenceEngine {
   /// arbitrary (results are discarded).
   void warmup(const Tensor& pl, int rounds = 2);
 
-  /// Batched forward-only sampling; row i consumes rngs[i] only. The result
-  /// tensor is pooled: it returns its buffer to this thread's pool when
-  /// destroyed, so destroy it on the calling thread (or use generate_into).
-  Tensor sample_rows(const Tensor& pl, std::span<flashgen::Rng> rngs);
+  /// Batched forward-only sampling; row i consumes rngs[i] only.
+  /// `conditions` is empty (the model's default condition) or holds one raw
+  /// (PE, retention) condition per row, which requires
+  /// model().condition_aware(). The result tensor is pooled: it returns its
+  /// buffer to this thread's pool when destroyed, so destroy it on the
+  /// calling thread (or use generate_into).
+  Tensor sample_rows(const Tensor& pl, std::span<flashgen::Rng> rngs,
+                     std::span<const data::Condition> conditions = {});
 
   /// sample_rows() + copy into a caller-owned buffer of pl.numel() floats
   /// (the generated array has the input's shape). Keeps pooled buffers on
   /// the executing thread regardless of where `out` is consumed.
-  void generate_into(const Tensor& pl, std::span<flashgen::Rng> rngs, std::span<float> out);
-
-  /// Conditioned flavors: row i is generated at conditions[i] (raw physical
-  /// units; the model normalizes). Requires model().condition_aware(). The
-  /// determinism contract extends per row: a row at condition c matches the
-  /// same request run alone at c, regardless of its batch neighbors.
-  Tensor sample_rows_at(const Tensor& pl, std::span<const data::Condition> conditions,
-                        std::span<flashgen::Rng> rngs);
-  void generate_into_at(const Tensor& pl, std::span<const data::Condition> conditions,
-                        std::span<flashgen::Rng> rngs, std::span<float> out);
+  void generate_into(const Tensor& pl, std::span<flashgen::Rng> rngs, std::span<float> out,
+                     std::span<const data::Condition> conditions = {});
 
   const EngineStats& stats() const { return stats_; }
   models::GenerativeModel& model() { return model_; }

@@ -452,7 +452,7 @@ void Server::dispatch_frame(Conn& conn, std::vector<std::uint8_t> payload) {
       try {
         dispatcher.submit_async(
             std::move(request.program_levels), request.seed, request.stream,
-            request.deadline_micros,
+            request.deadline_micros, std::nullopt,
             [this, conn_id, seq, side, t_submit](std::vector<float>&& voltages,
                                                  std::exception_ptr error) {
               // Executor thread: encode here (parallel with the loop), then

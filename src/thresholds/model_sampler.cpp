@@ -41,7 +41,7 @@ std::vector<std::vector<float>> ModelSampler::sample(std::span<const RowRequest>
   }
 
   tensor::InferenceModeGuard inference;
-  const tensor::Tensor generated = model_.sample_rows_at(pl, conditions, rngs);
+  const tensor::Tensor generated = model_.sample_rows(pl, rngs, conditions);
   FG_CHECK(generated.data().size() == rows.size() * cells,
            "ModelSampler: model returned " << generated.data().size() << " floats for "
                                            << rows.size() << " rows of " << cells);

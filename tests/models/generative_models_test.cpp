@@ -11,6 +11,7 @@
 #include "models/cvae.h"
 #include "models/cvae_gan.h"
 #include "models/gaussian_model.h"
+#include "nn/serialize.h"
 #include "tensor/ops.h"
 
 namespace flashgen::models {
@@ -151,6 +152,41 @@ TEST_F(GenerativeModelsTest, SaveLoadRoundTripPreservesGeneration) {
   for (tensor::Index i = 0; i < out_a.numel(); ++i)
     EXPECT_FLOAT_EQ(out_a.data()[i], out_b.data()[i]);
   std::remove(path.c_str());
+}
+
+// An unconditioned cVAE-GAN keeps the metadata-free FGCKPT01 layout, so every
+// cached Table I checkpoint still loads; a (PE, retention)-conditioned one
+// stamps its conditioning contract, and an unconditioned model refuses it.
+TEST_F(GenerativeModelsTest, CvaeGanCheckpointLayoutFollowsConditioning) {
+  const std::string plain_path = ::testing::TempDir() + "/cvae_gan_plain.ckpt";
+  const std::string conditioned_path = ::testing::TempDir() + "/cvae_gan_conditioned.ckpt";
+  CvaeGanModel plain(tiny_network_config(), 7);
+  plain.save(plain_path);
+  EXPECT_TRUE(nn::read_checkpoint_meta(plain_path).empty());
+
+  NetworkConfig config = tiny_network_config();
+  config.condition_dims = 2;
+  config.pe_scale = 8000.0;
+  config.retention_scale = 500.0;
+  CvaeGanModel conditioned(config, 7);
+  EXPECT_EQ(conditioned.name(), "cVAE-GAN(PE,ret)");
+  conditioned.save(conditioned_path);
+  const nn::CheckpointMeta meta = nn::read_checkpoint_meta(conditioned_path);
+  ASSERT_EQ(meta.size(), 3u);
+  EXPECT_EQ(meta.at("cond_version"), 2.0);
+  EXPECT_EQ(meta.at("pe_scale"), 8000.0);
+  EXPECT_EQ(meta.at("retention_scale"), 500.0);
+
+  CvaeGanModel reader(tiny_network_config(), 99);
+  EXPECT_THROW(reader.load(conditioned_path), flashgen::Error);
+  std::remove(plain_path.c_str());
+  std::remove(conditioned_path.c_str());
+}
+
+TEST_F(GenerativeModelsTest, CvaeGanRejectsPeOnlyConditioning) {
+  NetworkConfig config = tiny_network_config();
+  config.condition_dims = 1;
+  EXPECT_THROW(CvaeGanModel(config, 7), flashgen::Error);
 }
 
 TEST_F(GenerativeModelsTest, GaussianMomentsMatchTrainingData) {

@@ -6,6 +6,7 @@
 
 #include "common/error.h"
 #include "nn/serialize.h"
+#include "serve/engine.h"
 #include "tensor/ops.h"
 
 namespace flashgen::models {
@@ -84,14 +85,14 @@ TEST(MultiConditionDataset, WearShiftsLevelMeansAcrossConditions) {
 }
 
 TEST(TemporalModel, RequiresPositivePeScale) {
-  EXPECT_THROW(TemporalCvaeGanModel(tiny_network_config(), 0.0, 1), Error);
+  EXPECT_THROW(TemporalCvaeGanModel(tiny_network_config(), 0.0, 1000.0, 1), Error);
 }
 
 TEST(TemporalModel, TrainsAndGeneratesAcrossConditions) {
   flashgen::Rng rng(3);
   const auto ds = data::PairedDataset::generate_multi(tiny_dataset_config(),
                                                       {1000.0, 8000.0}, rng);
-  TemporalCvaeGanModel model(tiny_network_config(), 10000.0, 7);
+  TemporalCvaeGanModel model(tiny_network_config(), 10000.0, 1000.0, 7);
   TrainConfig config;
   config.epochs = 1;
   config.batch_size = 8;
@@ -102,7 +103,8 @@ TEST(TemporalModel, TrainsAndGeneratesAcrossConditions) {
   std::vector<std::size_t> indices = {0, 1};
   auto [pl, vl] = ds.batch(indices);
   for (double pe : {1000.0, 4000.0, 8000.0}) {
-    Tensor out = model.generate_at(pl, pe, rng);
+    model.set_generation_condition({pe, 0.0});
+    Tensor out = model.generate(pl, rng);
     EXPECT_EQ(out.shape(), pl.shape());
     for (float v : out.data()) {
       EXPECT_GE(v, -1.0f);
@@ -115,7 +117,7 @@ TEST(TemporalModel, ConditionChangesOutput) {
   flashgen::Rng rng(4);
   const auto ds = data::PairedDataset::generate_multi(tiny_dataset_config(),
                                                       {1000.0, 8000.0}, rng);
-  TemporalCvaeGanModel model(tiny_network_config(), 10000.0, 7);
+  TemporalCvaeGanModel model(tiny_network_config(), 10000.0, 1000.0, 7);
   TrainConfig config;
   config.epochs = 1;
   config.batch_size = 8;
@@ -124,8 +126,10 @@ TEST(TemporalModel, ConditionChangesOutput) {
   std::vector<std::size_t> indices = {0};
   auto [pl, vl] = ds.batch(indices);
   flashgen::Rng g1(9), g2(9);  // identical latent draws
-  Tensor low = model.generate_at(pl, 0.0, g1);
-  Tensor high = model.generate_at(pl, 10000.0, g2);
+  model.set_generation_condition({0.0, 0.0});
+  Tensor low = model.generate(pl, g1);
+  model.set_generation_condition({10000.0, 0.0});
+  Tensor high = model.generate(pl, g2);
   double diff = 0.0;
   for (tensor::Index i = 0; i < low.numel(); ++i)
     diff += std::fabs(low.data()[i] - high.data()[i]);
@@ -135,26 +139,30 @@ TEST(TemporalModel, ConditionChangesOutput) {
 TEST(TemporalModel, GenerateUsesConfiguredDefaultPe) {
   flashgen::Rng rng(5);
   const auto ds = data::PairedDataset::generate_multi(tiny_dataset_config(), {4000.0}, rng);
-  TemporalCvaeGanModel model(tiny_network_config(), 8000.0, 7);
+  TemporalCvaeGanModel model(tiny_network_config(), 8000.0, 1000.0, 7);
   TrainConfig config;
   config.epochs = 1;
   config.batch_size = 8;
   config.log_every = 0;
   model.fit(ds, config, rng);
-  model.set_generation_pe(4000.0);
+  const data::Condition condition{4000.0, 0.0};
+  model.set_generation_condition(condition);
   std::vector<std::size_t> indices = {0};
   auto [pl, vl] = ds.batch(indices);
-  flashgen::Rng g1(9), g2(9);
+  flashgen::Rng g1(9);
+  std::vector<flashgen::Rng> g2 = {flashgen::Rng(9)};
   Tensor via_interface = model.generate(pl, g1);
-  Tensor via_explicit = model.generate_at(pl, 4000.0, g2);
+  std::vector<float> via_explicit(static_cast<std::size_t>(pl.numel()));
+  serve::InferenceEngine(model).generate_into(pl, g2, via_explicit,
+                                              std::span<const data::Condition>(&condition, 1));
   for (tensor::Index i = 0; i < via_interface.numel(); ++i)
-    EXPECT_FLOAT_EQ(via_interface.data()[i], via_explicit.data()[i]);
+    EXPECT_EQ(via_interface.data()[i], via_explicit[static_cast<std::size_t>(i)]);
 }
 
 TEST(TemporalModel, CheckpointRoundTrip) {
   flashgen::Rng rng(6);
   const auto ds = data::PairedDataset::generate_multi(tiny_dataset_config(), {4000.0}, rng);
-  TemporalCvaeGanModel a(tiny_network_config(), 8000.0, 7);
+  TemporalCvaeGanModel a(tiny_network_config(), 8000.0, 1000.0, 7);
   TrainConfig config;
   config.epochs = 1;
   config.batch_size = 8;
@@ -162,13 +170,15 @@ TEST(TemporalModel, CheckpointRoundTrip) {
   a.fit(ds, config, rng);
   const std::string path = ::testing::TempDir() + "/temporal.ckpt";
   a.save(path);
-  TemporalCvaeGanModel b(tiny_network_config(), 8000.0, 99);
+  TemporalCvaeGanModel b(tiny_network_config(), 8000.0, 1000.0, 99);
   b.load(path);
   std::vector<std::size_t> indices = {0};
   auto [pl, vl] = ds.batch(indices);
   flashgen::Rng g1(9), g2(9);
-  Tensor out_a = a.generate_at(pl, 2000.0, g1);
-  Tensor out_b = b.generate_at(pl, 2000.0, g2);
+  a.set_generation_condition({2000.0, 0.0});
+  Tensor out_a = a.generate(pl, g1);
+  b.set_generation_condition({2000.0, 0.0});
+  Tensor out_b = b.generate(pl, g2);
   for (tensor::Index i = 0; i < out_a.numel(); ++i)
     EXPECT_FLOAT_EQ(out_a.data()[i], out_b.data()[i]);
   std::remove(path.c_str());
@@ -178,10 +188,10 @@ TEST(TemporalModel, RejectsLegacyPeOnlyCheckpoint) {
   // A v1 checkpoint (no metadata section — what the PE-only model generation
   // wrote) must be refused with the typed CheckpointVersionError, not loaded
   // into a model that would silently mis-normalize its conditions.
-  TemporalCvaeGanModel writer(tiny_network_config(), 8000.0, 7);
+  TemporalCvaeGanModel writer(tiny_network_config(), 8000.0, 1000.0, 7);
   const std::string path = ::testing::TempDir() + "/temporal_v1.ckpt";
   nn::save_checkpoint(writer.root_module(), path);  // v1: weights only, no meta
-  TemporalCvaeGanModel reader(tiny_network_config(), 8000.0, 7);
+  TemporalCvaeGanModel reader(tiny_network_config(), 8000.0, 1000.0, 7);
   EXPECT_THROW(reader.load(path), nn::CheckpointVersionError);
   std::remove(path.c_str());
 }

@@ -54,7 +54,8 @@ class GatedModel : public models::GenerativeModel {
   }
   void prepare_generation() override { inner_.prepare_generation(); }
   Tensor sample(const Tensor& pl, flashgen::Rng& rng) override { return inner_.sample(pl, rng); }
-  Tensor sample_rows(const Tensor& pl, std::span<flashgen::Rng> rngs) override {
+  Tensor sample_rows(const Tensor& pl, std::span<flashgen::Rng> rngs,
+                     std::span<const data::Condition> conditions) override {
     {
       std::unique_lock<std::mutex> lock(mutex_);
       if (!entered_) {
@@ -63,7 +64,7 @@ class GatedModel : public models::GenerativeModel {
         cv_.wait(lock, [this] { return open_; });
       }
     }
-    return inner_.sample_rows(pl, rngs);
+    return inner_.sample_rows(pl, rngs, conditions);
   }
   nn::Module& root_module() override { return inner_.root_module(); }
 
@@ -242,7 +243,7 @@ TEST_F(BatcherTest, MixedConditionBatchMatchesRowsAlone) {
     Tensor pl = Tensor::from_data(Shape({1, 1, 8, 8}), rows_[i]);
     std::vector<flashgen::Rng> rngs = {flashgen::Rng::from_stream(kSeed, i)};
     std::vector<float> out(kRowElems);
-    engine.generate_into_at(pl, std::span<const data::Condition>(&at[i], 1), rngs, out);
+    engine.generate_into(pl, rngs, out, std::span<const data::Condition>(&at[i], 1));
     expected.push_back(std::move(out));
   }
   ASSERT_NE(expected[0], expected[1]) << "the condition must reach the generator";

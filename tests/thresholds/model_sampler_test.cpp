@@ -39,7 +39,8 @@ TEST(ModelSampler, RejectsConditionUnawareModel) {
 }
 
 TEST(ModelSampler, ReturnsOneVoltageRowPerRequest) {
-  models::TemporalCvaeGanModel model(tiny_network_config(), /*pe_scale=*/10000.0, /*seed=*/3);
+  models::TemporalCvaeGanModel model(tiny_network_config(), /*pe_scale=*/10000.0,
+                                    /*retention_scale=*/1000.0, /*seed=*/3);
   ModelSampler sampler(model);
   const auto rows = make_rows(3, 8, /*first_stream=*/100);
   const auto out = sampler.sample(rows, /*seed=*/17, {4000.0, 100.0});
@@ -48,7 +49,8 @@ TEST(ModelSampler, ReturnsOneVoltageRowPerRequest) {
 }
 
 TEST(ModelSampler, RowsAreBatchingInvariant) {
-  models::TemporalCvaeGanModel model(tiny_network_config(), /*pe_scale=*/10000.0, /*seed=*/3);
+  models::TemporalCvaeGanModel model(tiny_network_config(), /*pe_scale=*/10000.0,
+                                    /*retention_scale=*/1000.0, /*seed=*/3);
   ModelSampler sampler(model);
   const auto rows = make_rows(4, 8, /*first_stream=*/7);
   const data::Condition condition{6000.0, 48.0};
@@ -61,7 +63,8 @@ TEST(ModelSampler, RowsAreBatchingInvariant) {
 }
 
 TEST(ModelSampler, ConditionChangesTheSample) {
-  models::TemporalCvaeGanModel model(tiny_network_config(), /*pe_scale=*/10000.0, /*seed=*/3);
+  models::TemporalCvaeGanModel model(tiny_network_config(), /*pe_scale=*/10000.0,
+                                    /*retention_scale=*/1000.0, /*seed=*/3);
   ModelSampler sampler(model);
   const auto rows = make_rows(1, 8, /*first_stream=*/7);
   const auto fresh = sampler.sample(rows, /*seed=*/17, {0.0, 0.0});
@@ -70,7 +73,8 @@ TEST(ModelSampler, ConditionChangesTheSample) {
 }
 
 TEST(ModelSampler, RejectsRaggedAndNonSquareRows) {
-  models::TemporalCvaeGanModel model(tiny_network_config(), /*pe_scale=*/10000.0, /*seed=*/3);
+  models::TemporalCvaeGanModel model(tiny_network_config(), /*pe_scale=*/10000.0,
+                                    /*retention_scale=*/1000.0, /*seed=*/3);
   ModelSampler sampler(model);
   auto rows = make_rows(2, 8, /*first_stream=*/0);
   rows[1].program_levels.pop_back();
