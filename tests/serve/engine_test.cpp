@@ -5,6 +5,8 @@
 // same checkpoint and RNG streams, per row, at any batch size.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -140,7 +142,10 @@ TEST_F(EngineTest, RejectsMismatchedStreamCount) {
 // same bits as the instance that trained it. Covers GaussianModel::on_loaded
 // (normalizer rebuilt from the checkpoint buffer) and the network models.
 TEST_F(EngineTest, RegistryLoadsCheckpointBitIdentical) {
-  const auto dir = std::filesystem::temp_directory_path() / "flashgen_engine_test";
+  // Per process: the reference/ backend-matrix copy of this case runs in
+  // parallel and would otherwise remove the other's checkpoints.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("flashgen_engine_test_" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
 
   for (core::ModelKind kind : {core::ModelKind::CvaeGan, core::ModelKind::Gaussian}) {

@@ -3,6 +3,8 @@
 // which is fast to fit and still exercises the determinism contract.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <memory>
 #include <thread>
@@ -36,12 +38,13 @@ class ServerTest : public ::testing::Test {
     config.channel.cols = 32;
     flashgen::Rng rng(1);
     dataset_ = std::make_unique<data::PairedDataset>(data::PairedDataset::generate(config, rng));
-    // Unique per test case: ctest runs the cases as parallel processes, and
-    // two servers on one path would unlink each other's sockets.
+    // Unique per test process: ctest runs the cases, and the reference/
+    // backend-matrix copy of each case, as parallel processes, and two
+    // servers on one path would unlink each other's sockets.
     const std::string test_name =
         ::testing::UnitTest::GetInstance()->current_test_info()->name();
     socket_path_ = (std::filesystem::temp_directory_path() /
-                    ("flashgen_server_" + test_name + ".sock"))
+                    ("flashgen_server_" + test_name + "_" + std::to_string(::getpid()) + ".sock"))
                        .string();
   }
 
