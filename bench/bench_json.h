@@ -113,6 +113,24 @@ inline std::string bench_results_dir() {
 #endif
 }
 
+/// The checkout's commit (`git describe --always --dirty`), or "unknown"
+/// when the sources are not a git repository.
+inline std::string source_commit() {
+#ifdef FLASHGEN_SOURCE_DIR
+  const std::string cmd = std::string("git -C \"") + FLASHGEN_SOURCE_DIR +
+                          "\" describe --always --dirty --abbrev=12 2>/dev/null";
+  if (std::FILE* pipe = ::popen(cmd.c_str(), "r")) {
+    char buf[128] = {};
+    const bool got = std::fgets(buf, sizeof(buf), pipe) != nullptr;
+    ::pclose(pipe);
+    std::string out = got ? buf : "";
+    while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) out.pop_back();
+    if (!out.empty()) return out;
+  }
+#endif
+  return "unknown";
+}
+
 inline std::string render_bench_report(const std::string& name, const JsonFields& config,
                                        const JsonFields& metrics) {
   return "{\n  \"name\": " + JsonFields::quote(name) + ",\n  \"config\": " + config.render() +

@@ -42,13 +42,16 @@ class CollectingReporter : public benchmark::ConsoleReporter {
 };
 
 /// Initializes google-benchmark, runs everything through a collecting
-/// reporter, and writes the unified report. Returns the process exit code.
-inline int run_micro_benchmarks(const std::string& report_name, int argc, char** argv) {
+/// reporter, and writes the unified report; `config` (what the bench knows
+/// about how it ran) gains the commit and host shape. Returns the process
+/// exit code.
+inline int run_micro_benchmarks(const std::string& report_name, int argc, char** argv,
+                                JsonFields config = {}) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   CollectingReporter reporter;
   const std::size_t ran = benchmark::RunSpecifiedBenchmarks(&reporter);
-  JsonFields config;
+  config.add("commit", source_commit());
   config.add("host_cpus", static_cast<std::int64_t>(std::thread::hardware_concurrency()));
   JsonFields metrics;
   metrics.add_raw("runs", reporter.rows_json());

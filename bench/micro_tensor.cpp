@@ -4,12 +4,14 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "micro_main.h"
 #include "tensor/conv.h"
 #include "tensor/gemm.h"
+#include "tensor/gemm_packed.h"
 #include "tensor/ops.h"
 
 namespace {
@@ -81,7 +83,13 @@ BENCHMARK(BM_SgemmBackend)
 // The four deep U-Net GEMMs a served generate spends its GEMM time in, per
 // item m x n x k ("T" = transposed weight), issued the way the conv forward
 // issues them: one strided-batched call whose weight is shared across the
-// batch. batch 8 is a full serve batch; batch 1 a lone request.
+// batch, so the packed backend sees batch * n columns. batch 8 is a full
+// serve batch; batch 1 a lone request.
+//
+// route: 0 = reference backend; 1 = avx2 as dispatched (the GEMV route up to
+// kGemvMaxCols folded columns, register tiles beyond); 2 = avx2 forced onto
+// the default register tile (menu[0]) at every width. Routes 1 and 2 side by
+// side at widths around kGemvMaxCols are the crossover sweep.
 struct SkinnyShape {
   std::int64_t m, n, k;
   bool trans_a;
@@ -91,12 +99,13 @@ constexpr SkinnyShape kSkinnyShapes[] = {{128, 1, 1184, false, "128x1x1184"},
                                          {1024, 1, 128, true, "1024x1x128T"},
                                          {512, 4, 128, true, "512x4x128T"},
                                          {64, 4, 672, false, "64x4x672"}};
+constexpr const char* kSkinnyRoutes[] = {"reference", "avx2", "avx2-tile"};
 
 void BM_SgemmSkinnyBatched(benchmark::State& state) {
-  const bool want_avx2 = state.range(0) != 0;
+  const std::int64_t route = state.range(0);
   const SkinnyShape& sh = kSkinnyShapes[state.range(1)];
   const std::int64_t batch = state.range(2);
-  const std::string backend = want_avx2 ? "avx2" : "reference";
+  const std::string backend = route == 0 ? "reference" : "avx2";
   const auto names = tensor::gemm_backend_names();
   if (std::find(names.begin(), names.end(), backend) == names.end()) {
     state.SkipWithError("backend not registered on this host");
@@ -104,6 +113,7 @@ void BM_SgemmSkinnyBatched(benchmark::State& state) {
   }
   const std::string previous = tensor::gemm_backend_name();
   tensor::set_gemm_backend(backend);
+  if (route == 2) tensor::detail::set_forced_packed_kernel(0);
   ThreadsGuard threads(state, 1);
   flashgen::Rng rng(1);
   std::vector<float> a(sh.m * sh.k), b(batch * sh.k * sh.n), c(batch * sh.m * sh.n);
@@ -125,12 +135,15 @@ void BM_SgemmSkinnyBatched(benchmark::State& state) {
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * batch * sh.m * sh.n * sh.k);
-  state.SetLabel(backend + " " + sh.label);
+  state.counters["width"] = static_cast<double>(batch * sh.n);
+  state.SetLabel(std::string(kSkinnyRoutes[route]) + " " + sh.label);
+  tensor::detail::set_forced_packed_kernel(-1);
   tensor::set_gemm_backend(previous);
 }
 BENCHMARK(BM_SgemmSkinnyBatched)
-    ->ArgsProduct({{0, 1}, {0, 1, 2, 3}, {1, 8}})
-    ->ArgNames({"avx2", "shape", "batch"});
+    ->ArgsProduct({{0, 1, 2}, {0, 1}, {1, 2, 4, 6, 8, 12, 16, 20, 24, 32}})
+    ->ArgsProduct({{0, 1, 2}, {2, 3}, {1, 2, 3, 4, 5, 6, 8}})
+    ->ArgNames({"route", "shape", "batch"});
 
 void BM_Conv2dForward(benchmark::State& state) {
   const tensor::Index size = state.range(0);
@@ -208,5 +221,18 @@ BENCHMARK(BM_ElementwiseChain);
 }  // namespace
 
 int main(int argc, char** argv) {
-  return flashgen::bench::run_micro_benchmarks("micro_tensor", argc, argv);
+  // The GEMM setup the numbers were taken with: the default backend, the
+  // packed backend's default tile (menu[0], what "avx2-tile" forces) and the
+  // GEMV route's width limit.
+  flashgen::bench::JsonFields config;
+  config.add("gemm_backend", tensor::gemm_backend_name());
+  int count = 0;
+  if (const tensor::detail::MicroKernel* menu = tensor::detail::packed_kernel_menu(&count)) {
+    config.add("gemm_default_tile", std::to_string(menu[0].mr) + "x" + std::to_string(menu[0].nr) +
+                                        (menu[0].isa == tensor::detail::KernelIsa::kAvx512
+                                             ? " avx512"
+                                             : " avx2"));
+  }
+  config.add("gemm_gemv_max_cols", tensor::detail::kGemvMaxCols);
+  return flashgen::bench::run_micro_benchmarks("micro_tensor", argc, argv, std::move(config));
 }

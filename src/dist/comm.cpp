@@ -24,7 +24,8 @@ namespace flashgen::dist {
 namespace {
 std::vector<std::uint8_t> floats_to_bytes(const float* data, std::size_t count) {
   std::vector<std::uint8_t> bytes(count * sizeof(float));
-  std::memcpy(bytes.data(), data, bytes.size());
+  // An empty frame's data() may be null, which memcpy must never see.
+  if (count > 0) std::memcpy(bytes.data(), data, bytes.size());
   return bytes;
 }
 
@@ -32,7 +33,7 @@ void bytes_to_floats(const std::vector<std::uint8_t>& bytes, float* out, std::si
   FG_CHECK(bytes.size() == count * sizeof(float),
            "dist: float frame has " << bytes.size() << " bytes, expected "
                                     << count * sizeof(float));
-  std::memcpy(out, bytes.data(), bytes.size());
+  if (count > 0) std::memcpy(out, bytes.data(), bytes.size());
 }
 }  // namespace
 

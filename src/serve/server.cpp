@@ -607,7 +607,12 @@ void Server::drain_completions() {
   for (CompletionMsg& msg : batch) {
     auto it = conns_.find(msg.conn_id);
     if (it == conns_.end()) continue;  // connection died; slot already settled
-    finish_slot(*it->second, msg.seq, std::move(msg.payload), msg.infer_wait_micros);
+    try {
+      finish_slot(*it->second, msg.seq, std::move(msg.payload), msg.infer_wait_micros);
+    } catch (const Error&) {
+      // The reply's write found a dead peer: drop only this connection.
+      close_conn(msg.conn_id);
+    }
   }
 }
 

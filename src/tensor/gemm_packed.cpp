@@ -46,6 +46,10 @@ constexpr int kMaxTileElems = 512;
 // Depends only on the per-item shape so batched and looped calls agree.
 constexpr std::int64_t kMinPackedFlops = std::int64_t{1} << 14;
 
+// Rows per GEMV-route chunk: the unit of parallel work and of the on-stack
+// accumulator block (a multiple of every register block the kernel uses).
+constexpr std::int64_t kGemvRows = 64;
+
 // Macro-loop chunks a call is cut into (at least, when its column strips
 // allow), so a few-row GEMM still spreads over the worker pool.
 constexpr std::int64_t kMinMacroChunks = 8;
@@ -138,9 +142,21 @@ void pack_b_strip(const GemmDesc& d, const float* b, std::int64_t g0, std::int64
     for (std::int64_t j = cols; j < nr; ++j) dst[p * nr + j] = 0.0f;
 }
 
-// C tile <- acc with beta applied, each column back into its own item.
-// beta == 0 never reads C (poisoned C stays inert); padded accumulator
-// rows/columns are simply not written.
+// One C element <- its accumulator with beta applied. beta == 0 never reads
+// C (poisoned C stays inert). Both write-backs below go through this one
+// expression, so the two routes round beta alike.
+inline void store_c(float beta, float acc, float& c) {
+  if (beta == 0.0f) {
+    c = acc;
+  } else if (beta == 1.0f) {
+    c += acc;
+  } else {
+    c = acc + beta * c;
+  }
+}
+
+// C tile <- row-major acc[r * nr + t], each column back into its own item.
+// Padded accumulator rows/columns are simply not written.
 void write_tile(const GemmDesc& d, const float* acc, std::int64_t nr, std::int64_t rows,
                 std::int64_t g0, std::int64_t cols, float* c) {
   for_each_item_run(d.n, g0, cols, [&](std::int64_t item, std::int64_t j0, std::int64_t len,
@@ -148,15 +164,20 @@ void write_tile(const GemmDesc& d, const float* acc, std::int64_t nr, std::int64
     for (std::int64_t r = 0; r < rows; ++r) {
       const float* arow = acc + r * nr + off;
       float* crow = c + item * d.stride_c + r * d.ldc + j0;
-      if (d.beta == 0.0f) {
-        for (std::int64_t j = 0; j < len; ++j) crow[j] = arow[j];
-      } else if (d.beta == 1.0f) {
-        for (std::int64_t j = 0; j < len; ++j) crow[j] += arow[j];
-      } else {
-        for (std::int64_t j = 0; j < len; ++j) crow[j] = arow[j] + d.beta * crow[j];
-      }
+      for (std::int64_t j = 0; j < len; ++j) store_c(d.beta, arow[j], crow[j]);
     }
   });
+}
+
+// The GEMV route's write-back: column-major acc[t * ld_acc + r], one column
+// at a time (a column of a stride-1 C is a contiguous run).
+void write_columns(const GemmDesc& d, const float* acc, std::int64_t ld_acc, std::int64_t rows,
+                   std::int64_t cols, float* c) {
+  for (std::int64_t t = 0; t < cols; ++t) {
+    const float* acol = acc + t * ld_acc;
+    float* ccol = c + (t / d.n) * d.stride_c + t % d.n;
+    for (std::int64_t r = 0; r < rows; ++r) store_c(d.beta, acol[r], ccol[r * d.ldc]);
+  }
 }
 
 // Grain helpers: all a function of shape + tile config only, never of the
@@ -173,6 +194,48 @@ std::int64_t macro_grain(std::int64_t chunk_flops) {
 bool packed_gemm_uses_fallback(const GemmDesc& desc) {
   return desc.k < 2 || desc.m * desc.n * desc.k < kMinPackedFlops;
 }
+
+bool packed_gemm_uses_gemv(const GemmDesc& desc) {
+  const std::int64_t cols = desc.stride_a == 0 ? desc.batch_count * desc.n : desc.n;
+  return cols <= kGemvMaxCols && !packed_gemm_uses_fallback(desc);
+}
+
+namespace {
+
+// The GEMV route: op(B) is packed once into a [k][cols] panel per B view,
+// then (group, row block) chunks run the rows-on-lanes kernel straight off
+// A — no A packing — and write back through write_columns.
+void packed_gemv(GemvKernel kernel, const GemmDesc& d, const float* a, const float* b,
+                 float* c) {
+  const std::int64_t m = d.m, k = d.k;
+  const bool fold = d.stride_a == 0;
+  const std::int64_t groups = fold ? 1 : d.batch_count;
+  const std::int64_t cols = fold ? d.batch_count * d.n : d.n;
+  const std::int64_t b_views = d.stride_b == 0 ? 1 : groups;
+  const std::int64_t pb_view = k * cols;
+  ScratchBuffer pb(static_cast<std::size_t>(b_views * pb_view));
+  common::parallel_for(0, b_views, pack_grain(pb_view), [&](std::int64_t v0, std::int64_t v1) {
+    for (std::int64_t v = v0; v < v1; ++v)
+      pack_b_strip(d, b + v * d.stride_b, 0, cols, cols, pb.data() + v * pb_view);
+  });
+  const std::int64_t blocks = (m + kGemvRows - 1) / kGemvRows;
+  common::parallel_for(0, groups * blocks, macro_grain(kGemvRows * k * cols),
+                       [&](std::int64_t t0, std::int64_t t1) {
+                         alignas(64) float acc[kGemvRows * kGemvMaxCols];
+                         for (std::int64_t t = t0; t < t1; ++t) {
+                           const std::int64_t grp = t / blocks, i0 = (t % blocks) * kGemvRows;
+                           const std::int64_t rows = std::min(kGemvRows, m - i0);
+                           const float* ag = a + grp * d.stride_a + (d.trans_a ? i0 : i0 * d.lda);
+                           kernel(d.trans_a, rows, k, d.alpha, ag, d.lda,
+                                  pb.data() + (b_views == 1 ? 0 : grp) * pb_view, cols, acc,
+                                  kGemvRows);
+                           write_columns(d, acc, kGemvRows, rows, cols,
+                                         c + grp * d.stride_c + i0 * d.ldc);
+                         }
+                       });
+}
+
+}  // namespace
 
 void packed_gemm_with_kernel(const MicroKernel& kernel, const GemmDesc& d, const float* a,
                              const float* b, float* c) {
@@ -274,6 +337,10 @@ class PackedGemmBackend final : public GemmBackend {
     int count = 0;
     const MicroKernel* menu = packed_kernel_menu(&count);
     const int forced = g_forced_kernel.load(std::memory_order_relaxed);
+    if (forced < 0 && packed_gemm_uses_gemv(desc)) {
+      packed_gemv(avx2_gemv_kernel(), desc, a, b, c);
+      return;
+    }
     const int index = forced >= 0 ? forced : GemmTuner::instance().kernel_for(desc);
     packed_gemm_with_kernel(menu[index], desc, a, b, c);
   }

@@ -56,6 +56,29 @@ void set_forced_packed_kernel(int index);
 void packed_gemm_with_kernel(const MicroKernel& kernel, const GemmDesc& desc, const float* a,
                              const float* b, float* c);
 
+/// Widest column space the GEMV route takes: batch * n for a shared-A call
+/// (the folded width), n otherwise. Wider calls run register tiles. Taken
+/// from the BM_SgemmSkinnyBatched crossover sweep (bench/micro_tensor.cpp,
+/// bench/results/micro_tensor.json): at 16 columns the GEMV route is still
+/// faster than the default tile on every swept shape; at 32 it is slower on
+/// three of the four.
+constexpr std::int64_t kGemvMaxCols = 16;
+
+/// The rows-on-lanes kernel of the GEMV route. For r < rows, t < cols (cols
+/// in [1, kGemvMaxCols]) it writes
+///   acc[t * ld_acc + r] = sum_p (alpha * op(A)[r][p]) * pb[p * cols + t]
+/// as one FMA chain from +0 in increasing p — the tile kernels' chain — where
+/// op(A)[r][p] is a[p * lda + r] with trans_a and a[r * lda + p] without.
+/// acc must hold every column's rows rounded up to 8 (tail lanes are
+/// scratch); A is never read outside its `rows` rows.
+using GemvKernel = void (*)(bool trans_a, std::int64_t rows, std::int64_t k, float alpha,
+                            const float* a, std::int64_t lda, const float* pb,
+                            std::int64_t cols, float* acc, std::int64_t ld_acc);
+
+/// True when the packed backend runs `desc` through the GEMV kernel: not a
+/// fallback shape, and a column space of at most kGemvMaxCols.
+bool packed_gemm_uses_gemv(const GemmDesc& desc);
+
 /// True when `desc` is small enough that the packed backend routes it to the
 /// reference loop nest instead of paying the packing overhead: k < 2, or a
 /// per-item m*n*k below 2^14 (any n, including the skinny n < 8 shapes).
@@ -69,6 +92,8 @@ bool packed_gemm_uses_fallback(const GemmDesc& desc);
 // applies the runtime CPUID gate.
 const MicroKernel* avx2_kernel_table(int* count);
 const MicroKernel* avx512_kernel_table(int* count);
+/// The 256-bit GEMV kernel (nullptr off x86), defined next to its tiles.
+GemvKernel avx2_gemv_kernel();
 
 }  // namespace detail
 }  // namespace flashgen::tensor

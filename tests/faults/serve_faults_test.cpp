@@ -293,6 +293,43 @@ TEST_F(ServeFaultsTest, ServerSurvivesClientResetsAndHostileFrames) {
   server.stop();
 }
 
+// A peer that stops accepting bytes while its request is in flight makes the
+// reply's write fail (EPIPE) when the completion is drained. That must cost
+// only this connection. The gate holds the reply until after the client's
+// shutdown(SHUT_RD), which raises no epoll event on the server side, so the
+// failing write is the first the server learns of it — on every run.
+TEST_F(ServeFaultsTest, PeerResetDuringReplyClosesOnlyThatConnection) {
+  auto gate_owner = std::make_unique<GateModel>();
+  GateModel* gate = gate_owner.get();
+  ModelRegistry registry;
+  registry.add("Gate", std::move(gate_owner), Shape({1, 8, 8}), /*warmup_batch=*/0);
+  Server server(registry, socket_path_, BatchPolicy{});
+  server.start();
+
+  const GenerateRequest request = gate_request();
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  ASSERT_LT(socket_path_.size(), sizeof(addr.sun_path));
+  std::memcpy(addr.sun_path, socket_path_.c_str(), socket_path_.size() + 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+
+  gate->block();
+  framing::write_frame(fd, encode_generate_request(request));
+  gate->wait_entered(1);  // the request is in flight
+  ASSERT_EQ(::shutdown(fd, SHUT_RD), 0);
+  gate->release();
+
+  // The reply write to the dead peer happens before this request's, on the
+  // same loop thread; the server must still be there to answer it.
+  Client client(socket_path_);
+  const GenerateResponse response = client.generate(request);
+  EXPECT_EQ(response.voltages, request.program_levels);
+  ::close(fd);
+  server.stop();
+}
+
 // The "socket_reset" fault point severs connections at read/write_frame entry
 // on both sides of the wire. Whatever the pattern does, the server process
 // must neither crash nor hang, and must serve cleanly once disarmed.

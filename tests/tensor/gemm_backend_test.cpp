@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -432,6 +433,97 @@ TEST(GemmPackedKernels, AllMenuKernelsBitIdentical) {
     }
   }
   detail::set_forced_packed_kernel(-1);
+  set_gemm_backend(before);
+}
+
+bool bits_equal(const std::vector<float>& x, const std::vector<float>& y) {
+  return x.size() == y.size() && std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+// The GEMV route must return the bits of the register-tile path, for every
+// menu kernel: same per-element FMA chain, same alpha rounding, same beta
+// write-back. Cases straddle the route's width limit (a shared-A call folds
+// batch * n columns), so the backend's choice between the two can never be
+// seen in the results. Compared bitwise, since zero x NaN leaves NaNs in C.
+TEST(GemmPackedGemv, RouteMatchesEveryMenuKernelBitwise) {
+  int count = 0;
+  const detail::MicroKernel* menu = detail::packed_kernel_menu(&count);
+  if (count == 0) GTEST_SKIP() << "host lacks AVX2+FMA; packed backend not registered";
+
+  const std::string before = gemm_backend_name();
+  set_gemm_backend("avx2");
+  const GemmBackend& backend = current_gemm_backend();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  flashgen::Rng rng(9091);
+  struct Shape3 {
+    std::int64_t m, k;
+  };
+  // m tails (m % 16 != 0, m < 8) and k tails (k % 4 != 0); each k keeps the
+  // per-item product above the small-problem fallback for every n used.
+  const Shape3 shapes[] = {{5, 3301}, {37, 449}, {130, 131}};
+  int gemv_cases = 0, tile_cases = 0;
+  for (const Shape3& sh : shapes) {
+    for (const std::int64_t n : {1, 2, 4}) {
+      for (const bool trans_a : {false, true}) {
+        std::vector<GemmDesc> descs;
+        for (std::int64_t batch = 1; batch <= 8; ++batch)
+          descs.push_back(batched_desc(sh.m, n, sh.k, batch, /*shared_a=*/true, trans_a, 0.0f));
+        descs.push_back(batched_desc(sh.m, n, sh.k, 3, /*shared_a=*/false, trans_a, 0.0f));
+        GemmDesc tb = batched_desc(sh.m, n, sh.k, 2, /*shared_a=*/true, trans_a, 0.0f);
+        tb.trans_b = true;
+        tb.ldb = sh.k + 1;
+        tb.stride_b = n * tb.ldb;
+        descs.push_back(tb);
+        for (GemmDesc d : descs) {
+          std::vector<float> a(a_size(d)), b(b_size(d)), c_init(c_size(d));
+          fill_normal(a, rng);
+          fill_normal(b, rng);
+          fill_normal(c_init, rng);
+          // Zero x NaN: an exact-zero A entry against a NaN B entry must
+          // still poison its C element on both routes.
+          a[d.trans_a ? d.lda : 1] = 0.0f;
+          b[d.trans_b ? 1 : d.ldb] = nan;
+          const bool gemv = detail::packed_gemm_uses_gemv(d);
+          ASSERT_FALSE(detail::packed_gemm_uses_fallback(d));
+          ASSERT_EQ(gemv, (d.stride_a == 0 ? d.batch_count * n : n) <= detail::kGemvMaxCols);
+          (gemv ? gemv_cases : tile_cases)++;
+          for (const float alpha : {1.0f, 0.5f}) {
+            for (const float beta : {0.0f, 1.0f, 0.25f}) {
+              d.alpha = alpha;
+              d.beta = beta;
+              // beta == 0 must never read C: poison it.
+              const std::vector<float> c0 =
+                  beta == 0.0f ? std::vector<float>(c_init.size(), nan) : c_init;
+              std::vector<float> routed;
+              for (const int threads : {1, 4}) {
+                common::set_num_threads(threads);
+                std::vector<float> c = c0;
+                backend.run(d, a.data(), b.data(), c.data());
+                if (threads == 1) {
+                  routed = c;
+                } else {
+                  EXPECT_TRUE(bits_equal(c, routed)) << "threads=4 changed bits";
+                }
+              }
+              common::set_num_threads(0);
+              for (int index = 0; index < count; ++index) {
+                std::vector<float> c = c0;
+                detail::packed_gemm_with_kernel(menu[index], d, a.data(), b.data(), c.data());
+                EXPECT_TRUE(bits_equal(c, routed))
+                    << "kernel " << index << " vs " << (gemv ? "gemv" : "tile")
+                    << " route: m=" << d.m << " n=" << d.n << " k=" << d.k
+                    << " batch=" << d.batch_count << " shared_a=" << (d.stride_a == 0)
+                    << " ta=" << d.trans_a << " tb=" << d.trans_b << " alpha=" << alpha
+                    << " beta=" << beta;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(gemv_cases, 0);
+  EXPECT_GT(tile_cases, 0);
   set_gemm_backend(before);
 }
 
