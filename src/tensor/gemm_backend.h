@@ -12,9 +12,10 @@
 //                kernels when the host also has AVX-512F. A call with a
 //                shared A (stride_a == 0) runs as one GEMM over every item's
 //                columns, so a batch of skinny items (n = 1..4) shares
-//                register tiles instead of padding one per item. Calls with
-//                k < 2 or a per-item m*n*k below 2^14 go to the reference
-//                loop nest instead.
+//                register tiles instead of padding one per item; a column
+//                space of at most 16 runs a rows-on-lanes GEMV kernel
+//                instead of tiles. Calls with k < 2 or a per-item m*n*k
+//                below 2^14 go to the reference loop nest instead.
 //
 // Selection: set_gemm_backend() beats the FLASHGEN_GEMM_BACKEND environment
 // variable (read once, at first dispatch) beats the built-in default, which
@@ -30,6 +31,11 @@
 //     per-item (m, n, k) — never on thread count, batch position, leading
 //     strides, how items are grouped into one computation (the packed
 //     backend's column folding), or the tuned tile shape.
+//   * So a backend may route a call on anything (the folded width, the
+//     batch count, strides) only between kernels that produce the same
+//     chain for every element — the packed backend's GEMV route and its
+//     tiles. A choice between different chains (the packed backend's
+//     reference fallback) may depend on the per-item (m, n, k) alone.
 //   * beta == 0 overwrites C without reading it (NaN-poisoned C stays inert),
 //     beta == 1 adds, anything else scales-and-adds.
 // Backends are NOT required to agree with each other bit-for-bit — switching

@@ -164,10 +164,12 @@ void gemv_plain_block(std::int64_t k, const float* a, std::int64_t lda, std::int
 template <int NC>
 constexpr int kGemvVectors = NC >= 8 ? 1 : 8 / NC;
 
-// k steps per pass over a trans_a row range. Stored rows of A are often a
-// multiple of 4 KiB apart, so they all compete for one L1 set; eight of them
-// stay resident while every row block of the range consumes them.
-constexpr std::int64_t kTransKBlock = 32;
+// k steps per pass over a trans_a row range. A pass reads eight stored rows
+// of A front to back across the whole range — eight sequential streams the
+// hardware prefetchers follow — where walking all of k per register block
+// would touch a new page (and, for a cold weight, miss) on every step. The
+// accumulators round-trip through acc between passes.
+constexpr std::int64_t kTransKBlock = 8;
 
 // NC (<= 4) columns of the block, starting at pb / acc.
 template <int NC, bool kScale>

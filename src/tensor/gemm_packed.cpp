@@ -21,6 +21,17 @@
 // strides, and — because the chain never changes — every kernel in the menu.
 // Problems too small to amortize packing fall back to the reference loop
 // nest; the decision depends only on the per-item (m, n, k).
+//
+// The GEMV route. A call at most kGemvMaxCols columns wide (after folding)
+// would fill 1–16 of a tile's 32 columns, so it runs the rows-on-lanes GEMV
+// kernel instead: op(B) is packed into one k x cols strip, A is read where it
+// is stored (no A packing, no panel memory), and (group, 64-row block)
+// chunks write their column-major accumulators back through the same beta
+// expression as the tiles. Each lane is the tiles' chain — +0, then one FMA
+// per k step of the rounded alpha * A times B, in increasing k — so the
+// route is bit-identical to every menu kernel. That is what lets the
+// decision depend on the folded width (and so on the batch), which the
+// fallback decision may not.
 #include <algorithm>
 #include <atomic>
 #include <memory>
@@ -47,8 +58,9 @@ constexpr int kMaxTileElems = 512;
 constexpr std::int64_t kMinPackedFlops = std::int64_t{1} << 14;
 
 // Rows per GEMV-route chunk: the unit of parallel work and of the on-stack
-// accumulator block (a multiple of every register block the kernel uses).
-constexpr std::int64_t kGemvRows = 64;
+// accumulator block (a multiple of every register block the kernel uses),
+// long enough that each stored row of a transposed A is read in 1 KiB runs.
+constexpr std::int64_t kGemvRows = 256;
 
 // Macro-loop chunks a call is cut into (at least, when its column strips
 // allow), so a few-row GEMM still spreads over the worker pool.

@@ -15,6 +15,13 @@
 // mr x k strip at a time inside each macro chunk (so scratch stays at one
 // strip per worker, never a whole m x k panel), and folds the items of a
 // shared-A batch into one column space; see gemm_packed.cpp.
+//
+// Calls whose column space is at most kGemvMaxCols wide skip the tiles and
+// take the GEMV route: a rows-on-lanes kernel (GemvKernel) with one
+// accumulator register per column that reads A where it is stored. Its lanes
+// run the same chain — +0, then one FMA per k step of alpha * A times B, in
+// increasing k — so it too is bit-identical to every menu kernel, and the
+// route may depend on the folded width without changing any result.
 #pragma once
 
 #include <cstdint>
@@ -47,8 +54,8 @@ struct MicroKernel {
 /// The pointer is stable for the process lifetime.
 const MicroKernel* packed_kernel_menu(int* count);
 
-/// Forces every packed-path GEMM onto menu[index] (-1 restores tuned/default
-/// selection). Test/bench hook — also how the autotuner measures candidates.
+/// Forces every packed-path GEMM onto menu[index], GEMV-width calls included
+/// (-1 restores the GEMV route and tuned/default selection). Test/bench hook.
 void set_forced_packed_kernel(int index);
 
 /// Runs `desc` through the packed path with an explicit kernel, bypassing the

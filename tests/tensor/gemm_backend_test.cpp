@@ -487,7 +487,9 @@ TEST(GemmPackedGemv, RouteMatchesEveryMenuKernelBitwise) {
           ASSERT_FALSE(detail::packed_gemm_uses_fallback(d));
           ASSERT_EQ(gemv, (d.stride_a == 0 ? d.batch_count * n : n) <= detail::kGemvMaxCols);
           (gemv ? gemv_cases : tile_cases)++;
-          for (const float alpha : {1.0f, 0.5f}) {
+          // 1.25 * A rounds (0.5 * A does not), so only it pins where the
+          // alpha product is taken.
+          for (const float alpha : {1.0f, 0.5f, 1.25f}) {
             for (const float beta : {0.0f, 1.0f, 0.25f}) {
               d.alpha = alpha;
               d.beta = beta;
