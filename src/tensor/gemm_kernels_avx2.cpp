@@ -50,7 +50,9 @@ constexpr MicroKernel kTable[] = {
 // Each accumulator lane is one C element; it starts at +0 and takes exactly
 // one FMA per k step, in increasing k, of (alpha * A) times the broadcast B
 // value — the same chain (and the same alpha rounding) as every tile kernel
-// above. C[r][t] lands in acc[t * ld_acc + r].
+// above. C[r][t] lands in acc[t * ld_acc + r]. The loops over register
+// blocks are unrolled by pragma: without it GCC keeps the accumulator arrays
+// on the stack and stores them on every k step.
 
 // Lanes below `valid` set: the mask of a tail row vector.
 __m256i lane_mask(std::int64_t valid) {
@@ -162,7 +164,7 @@ void gemv_plain_block(std::int64_t k, const float* a, std::int64_t lda, std::int
 // Row vectors per register block: about eight accumulators in flight hide
 // the FMA latency without spilling.
 template <int NC>
-constexpr int kGemvVectors = NC >= 8 ? 1 : 8 / NC;
+constexpr int kGemvVectors = 8 / NC;
 
 // k steps per pass over a trans_a row range. A pass reads eight stored rows
 // of A front to back across the whole range — eight sequential streams the

@@ -67,8 +67,8 @@ void packed_gemm_with_kernel(const MicroKernel& kernel, const GemmDesc& desc, co
 /// (the folded width), n otherwise. Wider calls run register tiles. Taken
 /// from the BM_SgemmSkinnyBatched crossover sweep (bench/micro_tensor.cpp,
 /// bench/results/micro_tensor.json): at 16 columns the GEMV route is still
-/// faster than the default tile on every swept shape; at 32 it is slower on
-/// three of the four.
+/// faster than the default tile on every swept shape. A trial with the limit
+/// at 32 was slower than the tile at 32 columns on three of the four.
 constexpr std::int64_t kGemvMaxCols = 16;
 
 /// The rows-on-lanes kernel of the GEMV route. For r < rows, t < cols (cols
