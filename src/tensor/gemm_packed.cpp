@@ -25,7 +25,7 @@
 // The GEMV route. A call at most kGemvMaxCols columns wide (after folding)
 // would fill 1–16 of a tile's 32 columns, so it runs the rows-on-lanes GEMV
 // kernel instead: op(B) is packed into one k x cols strip, A is read where it
-// is stored (no A packing, no panel memory), and (group, 64-row block)
+// is stored (no A packing, no panel memory), and (group, 256-row block)
 // chunks write their column-major accumulators back through the same beta
 // expression as the tiles. Each lane is the tiles' chain — +0, then one FMA
 // per k step of the rounded alpha * A times B, in increasing k — so the
