@@ -6,16 +6,16 @@
 //
 //   "reference"  the original row-blocked loop nest. Portable, and the bit
 //                pattern every historical result was produced with.
-//   "avx2"       packed A/B panels + a register-tiled FMA microkernel,
-//                autotuned (see gemm_autotune.h). Registered only when the
-//                host CPU supports AVX2+FMA; its tile menu widens to 512-bit
-//                kernels when the host also has AVX-512F. A call with a
-//                shared A (stride_a == 0) runs as one GEMM over every item's
-//                columns, so a batch of skinny items (n = 1..4) shares
-//                register tiles instead of padding one per item; a column
-//                space of at most 16 runs a rows-on-lanes GEMV kernel
-//                instead of tiles. Calls with k < 2 or a per-item m*n*k
-//                below 2^14 go to the reference loop nest instead.
+//   "avx2"       packed A/B panels + a register-tiled FMA microkernel (6x16
+//                avx2, or 14x32 avx512 when the host also has AVX-512F).
+//                Registered only when the host CPU supports AVX2+FMA. A
+//                call with a shared A (stride_a == 0) runs as one GEMM over
+//                every item's columns, so a batch of skinny items
+//                (n = 1..4) shares register tiles instead of padding one per
+//                item; a column space of at most 16 runs a rows-on-lanes
+//                GEMV kernel instead of tiles. Calls with k < 2 or a
+//                per-item m*n*k below 2^14 go to the reference loop nest
+//                instead.
 //
 // Selection: set_gemm_backend() beats the FLASHGEN_GEMM_BACKEND environment
 // variable (read once, at first dispatch) beats the built-in default, which
@@ -30,7 +30,7 @@
 //     must be accumulated in a fixed order that depends only on the
 //     per-item (m, n, k) — never on thread count, batch position, leading
 //     strides, how items are grouped into one computation (the packed
-//     backend's column folding), or the tuned tile shape.
+//     backend's column folding), or the ISA of the tile that runs.
 //   * So a backend may route a call on anything (the folded width, the
 //     batch count, strides) only between kernels that produce the same
 //     chain for every element — the packed backend's GEMV route and its

@@ -1,7 +1,8 @@
-// 256-bit FMA microkernels for the packed GEMM backend. This translation
-// unit is compiled for baseline x86-64 + AVX2/FMA regardless of the global
-// -march flags (see src/tensor/CMakeLists.txt), so the binary stays runnable
-// on any AVX2 host; gemm_packed.cpp gates the table behind a CPUID check.
+// 256-bit FMA kernels for the packed GEMM backend: the 6x16 register tile and
+// the GEMV route. This translation unit is compiled for baseline x86-64 +
+// AVX2/FMA regardless of the global -march flags (see
+// src/tensor/CMakeLists.txt), so the binary stays runnable on any AVX2 host;
+// gemm_packed.cpp gates both behind a CPUID check.
 #include "tensor/gemm_packed.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -14,36 +15,37 @@ namespace {
 
 // Register tile of MR rows x (NV * 8) columns. One accumulator register per
 // (row, vector) pair, updated by exactly one FMA per k step: each C element
-// is a single rounding chain in strictly increasing-k order, so the bits are
-// independent of the tile shape chosen.
+// is a single rounding chain in strictly increasing-k order, the chain of the
+// avx512 tile and the GEMV route below. The register-block loops are unrolled
+// by pragma: without it GCC 12 keeps the accumulators on the stack and stores
+// them on every k step.
 template <int MR, int NV>
 void kernel(std::int64_t k, const float* pa, const float* pb, float* acc) {
   constexpr int NR = NV * 8;
   __m256 c[MR][NV];
+  #pragma GCC unroll 16
   for (int r = 0; r < MR; ++r)
+    #pragma GCC unroll 16
     for (int v = 0; v < NV; ++v) c[r][v] = _mm256_setzero_ps();
   for (std::int64_t p = 0; p < k; ++p) {
     __m256 b[NV];
+    #pragma GCC unroll 16
     for (int v = 0; v < NV; ++v) b[v] = _mm256_loadu_ps(pb + p * NR + v * 8);
+    #pragma GCC unroll 16
     for (int r = 0; r < MR; ++r) {
       const __m256 a = _mm256_broadcast_ss(pa + p * MR + r);
+      #pragma GCC unroll 16
       for (int v = 0; v < NV; ++v) c[r][v] = _mm256_fmadd_ps(a, b[v], c[r][v]);
     }
   }
+  #pragma GCC unroll 16
   for (int r = 0; r < MR; ++r)
+    #pragma GCC unroll 16
     for (int v = 0; v < NV; ++v) _mm256_storeu_ps(acc + r * NR + v * 8, c[r][v]);
 }
 
-// 16 ymm registers total; MR * NV accumulators + NV B vectors + 1 broadcast
-// must fit, so MR * NV <= 12 keeps the compiler out of spill territory.
-constexpr MicroKernel kTable[] = {
-    {6, 16, KernelIsa::kAvx2, &kernel<6, 2>},   // the classic 6x16 — default
-    {4, 24, KernelIsa::kAvx2, &kernel<4, 3>},   // wider B reuse, fewer rows
-    {8, 8, KernelIsa::kAvx2, &kernel<8, 1>},    // tall-and-narrow C tiles
-    {12, 8, KernelIsa::kAvx2, &kernel<12, 1>},  // broadcast-heavy, max rows
-    {4, 16, KernelIsa::kAvx2, &kernel<4, 2>},   // small-m edge friendliness
-    {2, 32, KernelIsa::kAvx2, &kernel<2, 4>},   // skinny-m, streaming B
-};
+// 16 ymm registers: 12 accumulators + 2 B vectors + 1 broadcast fit.
+constexpr MicroKernel kTile = {6, 16, KernelIsa::kAvx2, &kernel<6, 2>};
 
 // ---- GEMV route: rows on lanes, one accumulator register per column -------
 //
@@ -232,22 +234,16 @@ void gemv(bool trans_a, std::int64_t rows, std::int64_t k, float alpha, const fl
 
 }  // namespace
 
-const MicroKernel* avx2_kernel_table(int* count) {
-  *count = static_cast<int>(sizeof(kTable) / sizeof(kTable[0]));
-  return kTable;
-}
+const MicroKernel* avx2_tile_kernel() { return &kTile; }
 
 GemvKernel avx2_gemv_kernel() { return &gemv; }
 
 }  // namespace flashgen::tensor::detail
 
-#else  // non-x86: no table; the packed backend is not registered.
+#else  // non-x86: no kernels; the packed backend is not registered.
 
 namespace flashgen::tensor::detail {
-const MicroKernel* avx2_kernel_table(int* count) {
-  *count = 0;
-  return nullptr;
-}
+const MicroKernel* avx2_tile_kernel() { return nullptr; }
 GemvKernel avx2_gemv_kernel() { return nullptr; }
 }  // namespace flashgen::tensor::detail
 

@@ -1,7 +1,7 @@
-// 512-bit FMA microkernels for the packed GEMM backend. Same contract as the
-// AVX2 table (one FMA chain per C element, strict k order), so every kernel
-// here produces bit-identical results to the 256-bit ones — AVX-512 is purely
-// a throughput upgrade, selected at runtime when the host supports it.
+// The 512-bit 14x32 register tile of the packed GEMM backend. Same contract as
+// the AVX2 tile (one FMA chain per C element, strict k order), so it produces
+// bit-identical results to the 256-bit kernels — AVX-512 is purely a
+// throughput upgrade, selected at runtime when the host supports it.
 #include "tensor/gemm_packed.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -28,32 +28,19 @@ void kernel(std::int64_t k, const float* pa, const float* pb, float* acc) {
     for (int v = 0; v < NV; ++v) _mm512_storeu_ps(acc + r * NR + v * 16, c[r][v]);
 }
 
-// 32 zmm registers; MR * NV accumulators + NV B vectors + 1 broadcast <= 31.
-constexpr MicroKernel kTable[] = {
-    {14, 32, KernelIsa::kAvx512, &kernel<14, 2>},  // 28 accumulators — default
-    {8, 48, KernelIsa::kAvx512, &kernel<8, 3>},    // wider B strips
-    {6, 64, KernelIsa::kAvx512, &kernel<6, 4>},    // very wide C rows
-    {16, 16, KernelIsa::kAvx512, &kernel<16, 1>},  // tall tiles, narrow n
-    {28, 16, KernelIsa::kAvx512, &kernel<28, 1>},  // max rows per B load
-    {4, 32, KernelIsa::kAvx512, &kernel<4, 2>},    // small-m edge friendliness
-};
+// 32 zmm registers: 28 accumulators + 2 B vectors + 1 broadcast fit.
+constexpr MicroKernel kTile = {14, 32, KernelIsa::kAvx512, &kernel<14, 2>};
 
 }  // namespace
 
-const MicroKernel* avx512_kernel_table(int* count) {
-  *count = static_cast<int>(sizeof(kTable) / sizeof(kTable[0]));
-  return kTable;
-}
+const MicroKernel* avx512_tile_kernel() { return &kTile; }
 
 }  // namespace flashgen::tensor::detail
 
 #else
 
 namespace flashgen::tensor::detail {
-const MicroKernel* avx512_kernel_table(int* count) {
-  *count = 0;
-  return nullptr;
-}
+const MicroKernel* avx512_tile_kernel() { return nullptr; }
 }  // namespace flashgen::tensor::detail
 
 #endif

@@ -1,6 +1,6 @@
 // The packed ("avx2") GEMM backend: pack op(B) into microkernel-shaped
-// panels, then sweep register tiles over them with an FMA microkernel chosen
-// by the autotuner. Two deterministic-parallel phases per call:
+// panels, then sweep register tiles over them with the FMA microkernel of the
+// host's widest ISA (menu[0]). Two deterministic-parallel phases per call:
 //
 //   1. pack B  — (view, col-strip) chunks write disjoint [k][nr] panels with
 //                tail columns zero-padded;
@@ -38,7 +38,6 @@
 
 #include "common/error.h"
 #include "common/parallel.h"
-#include "tensor/gemm_autotune.h"
 #include "tensor/gemm_backend.h"
 #include "tensor/gemm_packed.h"
 #include "tensor/gemm_util.h"
@@ -49,8 +48,8 @@ namespace detail {
 
 namespace {
 
-// Largest register tile in any menu (28x16 / 8x48 / 14x32 are all <= 448).
-constexpr int kMaxTileElems = 512;
+// Largest register tile in the menu: the avx512 14x32 tile.
+constexpr int kMaxTileElems = 14 * 32;
 
 // Packed-path threshold: below this the packing traffic (m*k + k*n extra
 // reads/writes) rivals the multiply count and the plain loop nest wins.
@@ -312,15 +311,9 @@ const MicroKernel* packed_kernel_menu(int* count) {
   static const std::vector<MicroKernel> menu = [] {
     std::vector<MicroKernel> out;
     if (cpu_has_avx2_fma()) {
-      // Widest ISA first: index 0 is the no-autotune default.
-      if (cpu_has_avx512f()) {
-        int n = 0;
-        const MicroKernel* t = avx512_kernel_table(&n);
-        out.insert(out.end(), t, t + n);
-      }
-      int n = 0;
-      const MicroKernel* t = avx2_kernel_table(&n);
-      out.insert(out.end(), t, t + n);
+      // Widest ISA first: index 0 is the kernel every tile-route call runs.
+      if (cpu_has_avx512f()) out.push_back(*avx512_tile_kernel());
+      out.push_back(*avx2_tile_kernel());
     }
     return out;
   }();
@@ -346,15 +339,14 @@ class PackedGemmBackend final : public GemmBackend {
       reference_gemm(desc, a, b, c);
       return;
     }
-    int count = 0;
-    const MicroKernel* menu = packed_kernel_menu(&count);
     const int forced = g_forced_kernel.load(std::memory_order_relaxed);
     if (forced < 0 && packed_gemm_uses_gemv(desc)) {
       packed_gemv(avx2_gemv_kernel(), desc, a, b, c);
       return;
     }
-    const int index = forced >= 0 ? forced : GemmTuner::instance().kernel_for(desc);
-    packed_gemm_with_kernel(menu[index], desc, a, b, c);
+    int count = 0;
+    const MicroKernel* menu = packed_kernel_menu(&count);
+    packed_gemm_with_kernel(menu[forced >= 0 ? forced : 0], desc, a, b, c);
   }
 };
 

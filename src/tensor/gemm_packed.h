@@ -1,6 +1,6 @@
 // Internals of the packed ("avx2") GEMM backend: the microkernel menu, the
-// forced-kernel hook used by the autotuner/tests, and the backend factories.
-// Tests and the autotuner include this; everything else goes through gemm.h.
+// forced-kernel hook used by tests and benches, and the backend factories.
+// Tests and benches include this; everything else goes through gemm.h.
 //
 // A microkernel computes a full-K register tile: given packed panels
 //   pa[k][mr] = alpha * op(A)[i0+r][p]   (rows beyond m zero-padded)
@@ -8,8 +8,8 @@
 // it accumulates acc[r][j] = sum_p pa[p][r] * pb[p][j] with one FMA chain per
 // element, strictly in increasing-p order. Because every element's sum is a
 // single rounding chain over the full k range, the result bits are identical
-// for every kernel in the menu (any mr/nr, 256-bit or 512-bit lanes) — which
-// is what makes autotuning bit-safe.
+// for every kernel in the menu (any mr/nr, 256-bit or 512-bit lanes): a host
+// with AVX-512F and one without compute the same bits.
 //
 // The driver (packed_gemm_with_kernel) packs op(B) once per call, packs A one
 // mr x k strip at a time inside each macro chunk (so scratch stays at one
@@ -38,9 +38,8 @@ std::unique_ptr<GemmBackend> make_packed_gemm_backend();
 
 namespace detail {
 
-/// Instruction set a microkernel was compiled for. Doubles as the ISA tag in
-/// the tune-cache file format, so the values are stable.
-enum class KernelIsa : std::uint8_t { kAvx2 = 0, kAvx512 = 1 };
+/// Instruction set a microkernel was compiled for.
+enum class KernelIsa : std::uint8_t { kAvx2, kAvx512 };
 
 struct MicroKernel {
   int mr;  // register-tile rows
@@ -49,17 +48,19 @@ struct MicroKernel {
   void (*run)(std::int64_t k, const float* pa, const float* pb, float* acc);
 };
 
-/// The menu of kernels usable on this host, fastest-first heuristically
-/// (index 0 is the no-autotune default). Empty when AVX2+FMA is missing.
-/// The pointer is stable for the process lifetime.
+/// The register tiles usable on this host, one per ISA, widest first: the
+/// 14x32 avx512 tile when the CPU has AVX-512F, then the 6x16 avx2 tile.
+/// Index 0 is the tile every tile-route call runs. Empty when AVX2+FMA is
+/// missing. The pointer is stable for the process lifetime.
 const MicroKernel* packed_kernel_menu(int* count);
 
 /// Forces every packed-path GEMM onto menu[index], GEMV-width calls included
-/// (-1 restores the GEMV route and tuned/default selection). Test/bench hook.
+/// (-1 restores the GEMV route and menu[0]). Throws for index >= the menu
+/// size. Test/bench hook.
 void set_forced_packed_kernel(int index);
 
-/// Runs `desc` through the packed path with an explicit kernel, bypassing the
-/// tuner (which is what the tuner's own measurements call).
+/// Runs `desc` through the packed tile path with an explicit kernel, never
+/// the GEMV route.
 void packed_gemm_with_kernel(const MicroKernel& kernel, const GemmDesc& desc, const float* a,
                              const float* b, float* c);
 
@@ -93,13 +94,13 @@ bool packed_gemm_uses_gemv(const GemmDesc& desc);
 /// Exposed so tests can pick shapes on both sides of the threshold.
 bool packed_gemm_uses_fallback(const GemmDesc& desc);
 
-// Per-ISA kernel tables, defined in gemm_kernels_avx2.cpp /
-// gemm_kernels_avx512.cpp (compiled with the matching -m flags). A table may
+// Per-ISA register tiles (nullptr off x86), defined in gemm_kernels_avx2.cpp
+// / gemm_kernels_avx512.cpp (compiled with the matching -m flags). A tile may
 // be present in the binary yet unusable on the host; packed_kernel_menu()
 // applies the runtime CPUID gate.
-const MicroKernel* avx2_kernel_table(int* count);
-const MicroKernel* avx512_kernel_table(int* count);
-/// The 256-bit GEMV kernel (nullptr off x86), defined next to its tiles.
+const MicroKernel* avx2_tile_kernel();
+const MicroKernel* avx512_tile_kernel();
+/// The 256-bit GEMV kernel (nullptr off x86), defined next to the avx2 tile.
 GemvKernel avx2_gemv_kernel();
 
 }  // namespace detail

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -131,6 +133,51 @@ TEST(TvDistance, TriangleInequality) {
     r.add(rng.normal(100.0, 40.0));
   }
   EXPECT_LE(tv_distance(p, r), tv_distance(p, q) + tv_distance(q, r) + 1e-12);
+}
+
+// Table I's metric against its closed form: N(mu1, s^2) and N(mu2, s^2) are
+// 2 Phi(|mu1 - mu2| / 2s) - 1 apart in total variation. The histogram TV of
+// N draws from each may miss that by two terms, fixed here before any run:
+//   * the binning error |TV_b - TV|, TV_b being the exact TV of the two binned
+//     distributions (Phi at the bin edges, clamped tails in the edge bins);
+//   * the sampling error |TV^ - TV_b| <= S = 1/2 sum_i |D_i - d_i|, where D_i
+//     and d_i are the drawn and the exact difference of bin i's masses.
+//     Jensen gives E[S] <= 1/2 sum_i sqrt((P_i (1 - P_i) + Q_i (1 - Q_i)) / N)
+//     and one draw moves S by at most 1/N, so McDiarmid gives
+//     P(S > E[S] + t) <= exp(-N t^2): t = 5 / sqrt(N) fails once in ~7e10.
+TEST(TvDistance, EqualSigmaGaussiansMatchClosedForm) {
+  const HistogramConfig config;  // Table I's binning: 650 bins of 2 over [-350, 950)
+  const double width = (config.hi - config.lo) / config.bins;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double sigma = 40.0, mu1 = 200.0;
+  const long n = 1'000'000;
+  const auto phi = [](double z) { return 0.5 * std::erfc(-z / std::sqrt(2.0)); };
+  const auto bin_mass = [&](double mu, int i) {
+    const double lo = i == 0 ? -inf : config.lo + i * width;
+    const double hi = i == config.bins - 1 ? inf : config.lo + (i + 1) * width;
+    return phi((hi - mu) / sigma) - phi((lo - mu) / sigma);
+  };
+  std::uint64_t seed = 10;
+  // The densities cross mid-bin (205) and on bin edges (220, 250).
+  for (const double delta : {10.0, 40.0, 100.0}) {
+    const double mu2 = mu1 + delta;
+    const double exact = 2.0 * phi(delta / (2.0 * sigma)) - 1.0;
+    double binned = 0.0, sampling = 0.0;
+    for (int i = 0; i < config.bins; ++i) {
+      const double p = bin_mass(mu1, i), q = bin_mass(mu2, i);
+      binned += 0.5 * std::fabs(p - q);
+      sampling += 0.5 * std::sqrt((p * (1.0 - p) + q * (1.0 - q)) / n);
+    }
+    const double tolerance =
+        std::fabs(binned - exact) + sampling + 5.0 / std::sqrt(static_cast<double>(n));
+    Histogram h1(config), h2(config);
+    flashgen::Rng rng1(++seed), rng2(++seed);
+    for (long i = 0; i < n; ++i) {
+      h1.add(rng1.normal(mu1, sigma));
+      h2.add(rng2.normal(mu2, sigma));
+    }
+    EXPECT_NEAR(tv_distance(h1, h2), exact, tolerance) << "delta = " << delta;
+  }
 }
 
 TEST(TvDistance, MismatchedBinningThrows) {

@@ -388,9 +388,36 @@ TEST(GemmBackendRegistry, UnknownNameThrowsAndKeepsSelection) {
   EXPECT_EQ(gemm_backend_name(), before);
 }
 
+// The menu holds one register tile per ISA the host can run, widest first,
+// and menu[0] is the tile every tile-route call runs: 14x32 avx512 when the
+// CPU has AVX-512F, 6x16 avx2 otherwise. Forcing an index past the end throws.
+TEST(GemmPackedKernels, MenuHoldsOneTilePerUsableIsa) {
+  int count = 0;
+  const detail::MicroKernel* menu = detail::packed_kernel_menu(&count);
+  if (count == 0) GTEST_SKIP() << "host lacks AVX2+FMA; packed backend not registered";
+
+#if defined(__x86_64__) || defined(__i386__)
+  const bool avx512 = __builtin_cpu_supports("avx512f");
+#else
+  const bool avx512 = false;
+#endif
+  ASSERT_EQ(count, avx512 ? 2 : 1);
+  const auto expect_tile = [&](int index, int mr, int nr, detail::KernelIsa isa) {
+    EXPECT_EQ(menu[index].mr, mr) << "menu[" << index << "]";
+    EXPECT_EQ(menu[index].nr, nr) << "menu[" << index << "]";
+    EXPECT_EQ(menu[index].isa, isa) << "menu[" << index << "]";
+  };
+  if (avx512) expect_tile(0, 14, 32, detail::KernelIsa::kAvx512);
+  expect_tile(count - 1, 6, 16, detail::KernelIsa::kAvx2);
+
+  EXPECT_THROW(detail::set_forced_packed_kernel(count), flashgen::Error);
+  detail::set_forced_packed_kernel(count - 1);  // the last valid index is accepted
+  detail::set_forced_packed_kernel(-1);
+}
+
 // Every kernel in the packed menu must produce the same bits: each C element
-// is one full-k FMA chain regardless of tile shape or vector width, which is
-// the invariant that makes autotuning (and the AVX-512 menu) bit-safe.
+// is one full-k FMA chain regardless of tile shape or vector width, so a host
+// with AVX-512F computes the bits of one without it.
 TEST(GemmPackedKernels, AllMenuKernelsBitIdentical) {
   int count = 0;
   detail::packed_kernel_menu(&count);
