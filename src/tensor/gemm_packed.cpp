@@ -35,6 +35,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <vector>
 
 #include "common/error.h"
 #include "common/parallel.h"
