@@ -1,9 +1,10 @@
 // Epoll front-end over TCP: bit-identity with the unix transport and the
 // bare engine, pipelined requests on one connection, clean-EOF flushing,
 // connection bursts beyond the listen backlog, replica dispatch, OS-assigned
-// ports, TCP_NODELAY on accepted sockets, and accept-path fault injection
+// ports, TCP_NODELAY on accepted sockets, accept-path fault injection
 // (transient errno storms must never silence the listener — the regression
-// this suite pins down).
+// this suite pins down), and open-loop determinism across connection and
+// replica counts.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -28,6 +29,7 @@
 #include "data/dataset.h"
 #include "serve/dispatcher.h"
 #include "serve/endpoint.h"
+#include "serve/loadgen.h"
 #include "serve/server.h"
 
 namespace flashgen::serve {
@@ -342,6 +344,51 @@ TEST_F(ServerTcpTest, FdExhaustionPausesAndRecoversWithoutDroppingTheListener) {
 
   EXPECT_NE(server.metrics().to_json().find("\"accept_errors\": 1"), std::string::npos);
   server.stop();
+}
+
+TEST_F(ServerTcpTest, OpenLoopChecksumIsInvariantToConnectionsAndReplicas) {
+  // Determinism at scale: one (seed, stream) workload over a handful of
+  // connections and over many, against a two-replica server, then over a
+  // handful against a one-replica server. Transport layout, pipelining,
+  // batching and replica choice must all be invisible in the bits, so the
+  // order-independent response checksums agree.
+  ServerOptions options;
+  options.endpoint = "tcp:127.0.0.1:0";
+  options.policy.max_batch_size = 8;
+  options.policy.max_wait_micros = 200;
+  options.policy.max_queue_depth = 0;  // never shed: every request must land
+  const auto run = [](const std::string& endpoint, int connections) {
+    OpenLoopOptions loop;
+    loop.endpoint = endpoint;
+    loop.model = "Gaussian";
+    loop.side = 8;
+    loop.seed = 1;
+    loop.connections = connections;
+    loop.total_requests = 256;
+    loop.target_rps = 4000.0;
+    return run_open_loop(loop);
+  };
+
+  ModelRegistry pair_registry = make_registry(/*replicas=*/2);
+  Server pair(pair_registry, options);
+  pair.start();
+  const OpenLoopResult few = run(pair.endpoint(), 7);
+  const OpenLoopResult many = run(pair.endpoint(), 64);
+  pair.drain_and_stop();
+
+  ModelRegistry single_registry = make_registry();
+  Server single(single_registry, options);
+  single.start();
+  const OpenLoopResult alone = run(single.endpoint(), 7);
+  single.drain_and_stop();
+
+  for (const OpenLoopResult* r : {&few, &many, &alone}) {
+    EXPECT_EQ(r->sent, 256u);
+    EXPECT_EQ(r->ok, r->sent);
+  }
+  EXPECT_NE(few.checksum, 0u);
+  EXPECT_EQ(few.checksum, many.checksum);
+  EXPECT_EQ(few.checksum, alone.checksum);
 }
 
 TEST_F(ServerTcpTest, ReplicaDispatcherBalancesAndDrains) {
