@@ -33,12 +33,14 @@ int main() {
 
   const std::string socket_path =
       (std::filesystem::temp_directory_path() / "flashgen_serve_demo.sock").string();
-  serve::BatchPolicy policy;
-  policy.max_batch_size = 8;
-  serve::Server server(registry, socket_path, policy);
+  serve::ServerOptions options;
+  options.endpoint = socket_path;
+  options.policy.max_batch_size = 8;
+  serve::Server server(registry, options);
   server.start();
   std::printf("serving on %s (batch<=%zu, hold=%lluus)\n", socket_path.c_str(),
-              policy.max_batch_size, static_cast<unsigned long long>(policy.max_wait_micros));
+              options.policy.max_batch_size,
+              static_cast<unsigned long long>(options.policy.max_wait_micros));
 
   // Four concurrent clients, each asking for voltages of the same PL array
   // under its own RNG stream — like four simulator shards sampling the

@@ -30,7 +30,7 @@ struct OpenLoopOptions {
   std::uint32_t side = 16;          // PL array is side x side
   std::uint64_t seed = 1;           // request i uses stream i
   std::uint64_t deadline_micros = 0;
-  /// Tenant id stamped on every request (protocol v2). Open-loop mode NEVER
+  /// Tenant id stamped on every request. Open-loop mode NEVER
   /// retries typed sheds: a retry would re-couple injection to server state,
   /// reintroducing the coordinated omission the open loop exists to avoid.
   /// Sheds are counted (shed / rate_limited) and the schedule marches on.

@@ -23,8 +23,7 @@
 //   --open             open-loop mode (see above)
 //   --rps=N            open-loop injection rate across all connections,
 //                      default 1000
-//   --tenant=N         tenant id stamped on every request (protocol v2),
-//                      default 0
+//   --tenant=N         tenant id stamped on every request, default 0
 //   --retries=N        closed loop only: total attempts per request with
 //                      capped exponential backoff + jitter on kOverloaded /
 //                      kRateLimited (default 1 = no retry). Deliberately

@@ -75,35 +75,20 @@ std::vector<float> ByteReader::get_floats(std::size_t count) {
   return v;
 }
 
-namespace {
-// Everything after the version-dependent header is layout-identical in v1
-// and v2 frames.
-void put_generate_body(ByteWriter& w, const GenerateRequest& request) {
+std::vector<std::uint8_t> encode_generate_request(const GenerateRequest& request) {
   FG_CHECK(request.program_levels.size() ==
                static_cast<std::size_t>(request.side) * request.side,
            "generate request: " << request.program_levels.size() << " levels for side "
                                 << request.side);
+  ByteWriter w;
+  w.put_u8(static_cast<std::uint8_t>(MessageType::kGenerateV2));
+  w.put_u32(request.tenant_id);
   w.put_string(request.model);
   w.put_u64(request.seed);
   w.put_u64(request.stream);
   w.put_u64(request.deadline_micros);
   w.put_u32(request.side);
   w.put_floats(request.program_levels);
-}
-}  // namespace
-
-std::vector<std::uint8_t> encode_generate_request(const GenerateRequest& request) {
-  ByteWriter w;
-  w.put_u8(static_cast<std::uint8_t>(MessageType::kGenerateV2));
-  w.put_u32(request.tenant_id);
-  put_generate_body(w, request);
-  return w.bytes();
-}
-
-std::vector<std::uint8_t> encode_generate_request_v1(const GenerateRequest& request) {
-  ByteWriter w;
-  w.put_u8(static_cast<std::uint8_t>(MessageType::kGenerate));
-  put_generate_body(w, request);
   return w.bytes();
 }
 
@@ -196,11 +181,10 @@ MessageType peek_type(const std::vector<std::uint8_t>& payload) {
 
 GenerateRequest decode_generate_request(const std::vector<std::uint8_t>& payload) {
   ByteReader r(payload);
-  const auto type = static_cast<MessageType>(r.get_u8());
-  FG_CHECK(type == MessageType::kGenerate || type == MessageType::kGenerateV2,
+  FG_CHECK(static_cast<MessageType>(r.get_u8()) == MessageType::kGenerateV2,
            "protocol: not a generate request");
   GenerateRequest request;
-  if (type == MessageType::kGenerateV2) request.tenant_id = r.get_u32();
+  request.tenant_id = r.get_u32();
   request.model = r.get_string();
   request.seed = r.get_u64();
   request.stream = r.get_u64();

@@ -12,20 +12,16 @@
 //   u8 type | type-specific body
 //
 // Message bodies:
-//   kGenerate (client -> server, protocol v1):
+//   kGenerateV2 (client -> server):
+//     u32 tenant_id                  -- token-bucket admission key; 0 = the
+//                                       anonymous/default tenant
 //     u32 model_name_len | model_name bytes
 //     u64 seed | u64 stream          -- Rng::from_stream(seed, stream)
 //     u64 deadline_micros            -- relative budget; 0 = no deadline
 //     u32 side                       -- PL array is side x side
 //     f32 pl[side * side]           -- normalized program levels, row-major
-//   kGenerateV2 (client -> server, protocol v2):
-//     u32 tenant_id                  -- token-bucket admission key; 0 = the
-//                                       anonymous/default tenant
-//     ...then the v1 body verbatim (model, seed, stream, deadline, side, pl)
-//     -- v2 is a pure header extension: servers decode both types (v1 frames
-//        map to tenant 0), so v1 clients interoperate unchanged against a v2
-//        server. encode_generate_request emits v2; _v1 is kept for legacy
-//        peers and interop tests.
+//     -- type byte 1 was the tenant-less protocol v1 generate; it is retired
+//        and answered like any unknown type, with a kError
 //   kGenerateOk (server -> client):
 //     u32 side | f32 voltages[side * side]
 //   kStats (client -> server): empty body
@@ -41,7 +37,7 @@
 //        be shed again.
 //   kHealth (client -> server): empty body
 //   kHealthOk (server -> client): u8 status (HealthStatus)
-//   kThresholdQuery (client -> server, protocol v2 framing):
+//   kThresholdQuery (client -> server):
 //     u32 tenant_id                  -- same admission semantics as
 //                                       kGenerateV2 (token buckets, queue
 //                                       bounds -> kRateLimited/kOverloaded)
@@ -81,7 +77,8 @@
 namespace flashgen::serve {
 
 enum class MessageType : std::uint8_t {
-  kGenerate = 1,  // protocol v1 request (no tenant header)
+  // 1 was kGenerate, the protocol v1 request without a tenant header. It is
+  // retired: servers answer it with kError. Never reuse the value.
   kGenerateOk = 2,
   kStats = 3,
   kStatsOk = 4,
@@ -89,7 +86,7 @@ enum class MessageType : std::uint8_t {
   kOverloaded = 6,
   kHealth = 7,
   kHealthOk = 8,
-  kGenerateV2 = 9,    // protocol v2 request: u32 tenant_id prepended
+  kGenerateV2 = 9,    // generate request, led by a u32 tenant_id
   kRateLimited = 10,  // typed per-tenant shed with retry_after_micros
   kThresholdQuery = 11,  // read-threshold optimization at a wear condition
   kThresholdOk = 12,
@@ -121,8 +118,8 @@ inline constexpr std::uint32_t kMaxFrameBytes = framing::kMaxFrameBytes;
 
 struct GenerateRequest {
   std::string model;
-  /// Admission key for per-tenant token buckets (protocol v2 header field);
-  /// v1 frames decode as tenant 0. Invisible in the generated bits.
+  /// Admission key for per-tenant token buckets (the kGenerateV2 header
+  /// field); 0 is the default tenant. Invisible in the generated bits.
   std::uint32_t tenant_id = 0;
   std::uint64_t seed = 0;
   std::uint64_t stream = 0;
@@ -199,12 +196,8 @@ class ByteReader {
 };
 
 // ---- payload encoding (u8 type + body; no length prefix) ----
-/// Emits a protocol v2 (kGenerateV2) request carrying request.tenant_id.
+/// Emits a kGenerateV2 request carrying request.tenant_id.
 std::vector<std::uint8_t> encode_generate_request(const GenerateRequest& request);
-/// Emits a protocol v1 (kGenerate) request; the tenant id cannot ride in a
-/// v1 frame and is dropped (the server maps v1 to tenant 0). Kept for
-/// legacy peers and the v1-interop tests.
-std::vector<std::uint8_t> encode_generate_request_v1(const GenerateRequest& request);
 std::vector<std::uint8_t> encode_generate_response(const GenerateResponse& response);
 std::vector<std::uint8_t> encode_stats_request();
 std::vector<std::uint8_t> encode_stats_response(const std::string& json);
@@ -223,8 +216,6 @@ struct RateLimitedInfo {
 };
 
 MessageType peek_type(const std::vector<std::uint8_t>& payload);
-/// Decodes either generation (kGenerate -> tenant 0, kGenerateV2 -> carried
-/// tenant id); the rest of the body is layout-identical.
 GenerateRequest decode_generate_request(const std::vector<std::uint8_t>& payload);
 GenerateResponse decode_generate_response(const std::vector<std::uint8_t>& payload);
 std::string decode_stats_response(const std::vector<std::uint8_t>& payload);

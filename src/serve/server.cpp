@@ -91,14 +91,6 @@ Server::Server(ModelRegistry& registry, ServerOptions options)
            "epoll_ctl(eventfd) failed: " << std::strerror(errno));
 }
 
-Server::Server(ModelRegistry& registry, std::string socket_path, BatchPolicy policy)
-    : Server(registry, [&] {
-        ServerOptions options;
-        options.endpoint = std::move(socket_path);
-        options.policy = policy;
-        return options;
-      }()) {}
-
 Server::~Server() {
   stop();
   // Join every worker / executor / supervisor thread (failing still-queued
@@ -400,180 +392,61 @@ void Server::dispatch_frame(Conn& conn, std::vector<std::uint8_t> payload) {
   conn.slots.back().t0 = std::chrono::steady_clock::now();
   conn.last_activity = conn.slots.back().t0;  // a complete frame is progress
 
-  // Helper: resolve the slot we just created (dispatch never re-enters).
-  const auto slot_ready = [&](std::vector<std::uint8_t> response_payload,
-                              bool counts_as_active) {
-    Slot& slot = conn.slots[static_cast<std::size_t>(seq - conn.head_seq)];
-    slot.frame = framing::encode_frame(response_payload);
-    slot.ready = true;
-    slot.counts_as_active = counts_as_active;
-  };
-
+  // Generate and threshold requests differ only in decode, model lookup and
+  // the success encoder; admission, the active mark, the error reply and
+  // the completion hand-off are shared (admit / error_reply / complete). A
+  // submit that throws is answered by the catch below, which also undoes
+  // the active mark.
   try {
     const MessageType type = peek_type(payload);
-    if (type == MessageType::kGenerate || type == MessageType::kGenerateV2) {
-      const auto t0 = conn.slots.back().t0;
+    if (type == MessageType::kGenerateV2) {
       GenerateRequest request = [&] {
         FG_TRACE_SPAN("serve.decode", "serve");
         return decode_generate_request(payload);
       }();
-      auto& dispatcher = [&]() -> ReplicaDispatcher& {
-        auto it = dispatchers_.find(request.model);
-        FG_CHECK(it != dispatchers_.end(), "unknown model: " << request.model);
-        return *it->second;
-      }();
-      metrics_.record_stage("decode", micros_since(t0));
-      // Per-tenant token-bucket admission, ahead of the fleet queues: an
-      // over-rate tenant drains only its own bucket and gets a typed
-      // kRateLimited with a retry hint; everyone else's admission capacity
-      // is untouched. Disabled (default) this is a strict no-op.
-      const TenantGovernor::Decision admission = governor_.admit(request.tenant_id);
-      if (!admission.admitted) {
-        metrics_.record_rate_limited();
-        static stats::Counter& rate_limited_total = stats::counter("serve.rate_limited");
-        rate_limited_total.add();
-        std::ostringstream os;
-        os << "tenant " << request.tenant_id << " over admission rate; retry after "
-           << admission.retry_after_micros << "us";
-        slot_ready(encode_rate_limited(admission.retry_after_micros, os.str()),
-                   /*counts_as_active=*/false);
-        return;
-      }
-      // Mark the slot active *before* submit: the completion can fire on the
-      // executor thread immediately.
-      {
-        Slot& slot = conn.slots[static_cast<std::size_t>(seq - conn.head_seq)];
-        slot.counts_as_active = true;
-      }
-      ++active_requests_;
+      auto it = dispatchers_.find(request.model);
+      FG_CHECK(it != dispatchers_.end(), "unknown model: " << request.model);
+      const std::optional<Ticket> admitted = admit(conn, seq, request.tenant_id);
+      if (!admitted) return;
       const std::uint32_t side = request.side;
-      const std::uint64_t conn_id = conn.id;
-      const auto t_submit = std::chrono::steady_clock::now();
-      try {
-        dispatcher.submit_async(
-            std::move(request.program_levels), request.seed, request.stream,
-            request.deadline_micros, std::nullopt,
-            [this, conn_id, seq, side, t_submit](std::vector<float>&& voltages,
-                                                 std::exception_ptr error) {
-              // Executor thread: encode here (parallel with the loop), then
-              // hand the payload over through the completion queue.
-              std::vector<std::uint8_t> response_payload;
-              if (!error) {
-                GenerateResponse response;
-                response.side = side;
-                response.voltages = std::move(voltages);
-                response_payload = encode_generate_response(response);
-              } else {
-                try {
-                  std::rethrow_exception(error);
-                } catch (const Overloaded& e) {
-                  metrics_.record_shed();
-                  response_payload = encode_overloaded(e.what());
-                } catch (const Error& e) {
-                  metrics_.record_error();
-                  response_payload = encode_error(e.what());
-                } catch (const std::exception& e) {
-                  metrics_.record_error();
-                  response_payload = encode_error(e.what());
-                }
-              }
-              {
-                std::lock_guard<std::mutex> lock(completions_mutex_);
-                completions_.push_back(CompletionMsg{conn_id, seq, std::move(response_payload),
-                                                     micros_since(t_submit)});
-              }
-              wake_loop();
-            });
-      } catch (...) {
-        // Admission rejected synchronously: the completion will never fire,
-        // so the active count unwinds here and the catch below answers.
-        --active_requests_;
-        Slot& slot = conn.slots[static_cast<std::size_t>(seq - conn.head_seq)];
-        slot.counts_as_active = false;
-        throw;
-      }
+      it->second->submit_async(
+          std::move(request.program_levels), request.seed, request.stream,
+          request.deadline_micros, std::nullopt,
+          [this, ticket = *admitted, side](std::vector<float>&& voltages, std::exception_ptr error) {
+            // Executor thread: encode here (parallel with the loop).
+            complete(ticket, error ? error_reply(error)
+                                   : encode_generate_response({side, std::move(voltages)}));
+          });
     } else if (type == MessageType::kThresholdQuery) {
-      const auto t0 = conn.slots.back().t0;
       const ThresholdQuery query = [&] {
         FG_TRACE_SPAN("serve.decode", "serve");
         return decode_threshold_query(payload);
       }();
-      auto& service = [&]() -> ThresholdService& {
-        auto it = threshold_services_.find(query.model);
-        if (it == threshold_services_.end()) {
-          FG_CHECK(dispatchers_.find(query.model) != dispatchers_.end(),
-                   "unknown model: " << query.model);
-          FG_CHECK(false, "model " << query.model
-                                   << " is not condition-aware; threshold queries need a "
-                                      "(PE, retention)-conditioned model");
-        }
-        return *it->second;
-      }();
-      metrics_.record_stage("decode", micros_since(t0));
-      // Threshold queries share the generate path's admission layers: the
-      // per-tenant token bucket here, then the service's own bounded queue
-      // (Overloaded), then the fleet queues its sampling rides on.
-      const TenantGovernor::Decision admission = governor_.admit(query.tenant_id);
-      if (!admission.admitted) {
-        metrics_.record_rate_limited();
-        static stats::Counter& rate_limited_total = stats::counter("serve.rate_limited");
-        rate_limited_total.add();
-        std::ostringstream os;
-        os << "tenant " << query.tenant_id << " over admission rate; retry after "
-           << admission.retry_after_micros << "us";
-        slot_ready(encode_rate_limited(admission.retry_after_micros, os.str()),
-                   /*counts_as_active=*/false);
-        return;
+      auto it = threshold_services_.find(query.model);
+      if (it == threshold_services_.end()) {
+        FG_CHECK(dispatchers_.find(query.model) != dispatchers_.end(),
+                 "unknown model: " << query.model);
+        FG_CHECK(false, "model " << query.model
+                                 << " is not condition-aware; threshold queries need a "
+                                    "(PE, retention)-conditioned model");
       }
+      // The service's own bounded queue (Overloaded) and the fleet queues
+      // its sampling rides on sit behind the shared tenant admission.
+      const std::optional<Ticket> admitted = admit(conn, seq, query.tenant_id);
+      if (!admitted) return;
       static stats::Counter& threshold_queries_total = stats::counter("serve.threshold_queries");
       threshold_queries_total.add();
-      {
-        Slot& slot = conn.slots[static_cast<std::size_t>(seq - conn.head_seq)];
-        slot.counts_as_active = true;
-      }
-      ++active_requests_;
-      const std::uint64_t conn_id = conn.id;
-      const auto t_submit = std::chrono::steady_clock::now();
-      try {
-        service.submit_async(
-            {query.pe_cycles, query.retention_hours},
-            [this, conn_id, seq, t_submit](thresholds::ThresholdReport report,
-                                           std::exception_ptr error) {
-              // Service worker thread: encode here, hand over via the queue.
-              std::vector<std::uint8_t> response_payload;
-              if (!error) {
-                response_payload = encode_threshold_response(to_response(report));
-              } else {
-                try {
-                  std::rethrow_exception(error);
-                } catch (const Overloaded& e) {
-                  metrics_.record_shed();
-                  response_payload = encode_overloaded(e.what());
-                } catch (const Error& e) {
-                  metrics_.record_error();
-                  response_payload = encode_error(e.what());
-                } catch (const std::exception& e) {
-                  metrics_.record_error();
-                  response_payload = encode_error(e.what());
-                }
-              }
-              {
-                std::lock_guard<std::mutex> lock(completions_mutex_);
-                completions_.push_back(CompletionMsg{conn_id, seq, std::move(response_payload),
-                                                     micros_since(t_submit)});
-              }
-              wake_loop();
-            });
-      } catch (...) {
-        --active_requests_;
-        Slot& slot = conn.slots[static_cast<std::size_t>(seq - conn.head_seq)];
-        slot.counts_as_active = false;
-        throw;
-      }
+      it->second->submit_async(
+          {query.pe_cycles, query.retention_hours},
+          [this, ticket = *admitted](thresholds::ThresholdReport report, std::exception_ptr error) {
+            // Service worker thread: encode here.
+            complete(ticket, error ? error_reply(error)
+                                   : encode_threshold_response(to_response(report)));
+          });
     } else if (type == MessageType::kStats) {
       const double elapsed =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - started_).count();
-      slot_ready(encode_stats_response(metrics_.to_json(elapsed)), /*counts_as_active=*/false);
+      settle_slot(conn, seq, encode_stats_response(metrics_.to_json(elapsed)));
     } else if (type == MessageType::kHealth) {
       HealthStatus status = HealthStatus::kReady;
       if (draining_.load()) {
@@ -586,16 +459,78 @@ void Server::dispatch_frame(Conn& conn, std::vector<std::uint8_t> payload) {
           }
         }
       }
-      slot_ready(encode_health_response(status), /*counts_as_active=*/false);
+      settle_slot(conn, seq, encode_health_response(status));
     } else {
       FG_CHECK(false, "unexpected message type " << static_cast<int>(type));
     }
   } catch (const Overloaded& e) {
-    slot_ready(encode_overloaded(e.what()), /*counts_as_active=*/false);
+    settle_slot(conn, seq, encode_overloaded(e.what()));
   } catch (const Error& e) {
     metrics_.record_error();
-    slot_ready(encode_error(e.what()), /*counts_as_active=*/false);
+    settle_slot(conn, seq, encode_error(e.what()));
   }
+}
+
+Server::Slot& Server::slot_at(Conn& conn, std::uint64_t seq) {
+  return conn.slots[static_cast<std::size_t>(seq - conn.head_seq)];
+}
+
+void Server::settle_slot(Conn& conn, std::uint64_t seq, const std::vector<std::uint8_t>& reply) {
+  Slot& slot = slot_at(conn, seq);
+  if (slot.counts_as_active) {
+    // Marked by admit(), then the submit threw: no completion will come.
+    slot.counts_as_active = false;
+    --active_requests_;
+  }
+  slot.frame = framing::encode_frame(reply);
+  slot.ready = true;
+}
+
+std::optional<Server::Ticket> Server::admit(Conn& conn, std::uint64_t seq,
+                                            std::uint32_t tenant_id) {
+  Slot& slot = slot_at(conn, seq);
+  metrics_.record_stage("decode", micros_since(slot.t0));
+  // Per-tenant token-bucket admission, ahead of the fleet queues: an
+  // over-rate tenant drains only its own bucket and gets a typed
+  // kRateLimited with a retry hint; everyone else's admission capacity is
+  // untouched. Disabled (default) this is a strict no-op.
+  const TenantGovernor::Decision admission = governor_.admit(tenant_id);
+  if (!admission.admitted) {
+    metrics_.record_rate_limited();
+    static stats::Counter& rate_limited_total = stats::counter("serve.rate_limited");
+    rate_limited_total.add();
+    std::ostringstream os;
+    os << "tenant " << tenant_id << " over admission rate; retry after "
+       << admission.retry_after_micros << "us";
+    settle_slot(conn, seq, encode_rate_limited(admission.retry_after_micros, os.str()));
+    return std::nullopt;
+  }
+  // Mark the slot active *before* submit: the completion can fire on another
+  // thread immediately.
+  slot.counts_as_active = true;
+  ++active_requests_;
+  return Ticket{conn.id, seq, std::chrono::steady_clock::now()};
+}
+
+std::vector<std::uint8_t> Server::error_reply(std::exception_ptr error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const Overloaded& e) {
+    metrics_.record_shed();
+    return encode_overloaded(e.what());
+  } catch (const std::exception& e) {
+    metrics_.record_error();
+    return encode_error(e.what());
+  }
+}
+
+void Server::complete(const Ticket& ticket, std::vector<std::uint8_t> reply) {
+  {
+    std::lock_guard<std::mutex> lock(completions_mutex_);
+    completions_.push_back(
+        CompletionMsg{ticket.conn_id, ticket.seq, std::move(reply), micros_since(ticket.t_submit)});
+  }
+  wake_loop();
 }
 
 void Server::drain_completions() {

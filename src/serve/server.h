@@ -5,13 +5,15 @@
 // reassemble length-prefixed frames across arbitrary partial transfers
 // (framing::FrameDecoder), write buffers absorb partial sends and flush on
 // EPOLLOUT, and requests pipeline — a connection may have any number of
-// requests in flight; responses return in request order. kGenerate frames
+// requests in flight; responses return in request order. kGenerateV2 frames
 // route through a per-model ReplicaDispatcher (least-loaded over N replica
 // engines, each with its own batcher + executor thread, extending the
-// bounded-admission and deadline-shedding behavior); completions re-enter
-// the loop through a queue + eventfd wakeup. Request errors are answered
-// with a kError frame on the same connection; the connection survives.
-// Malformed framing drops only the offending connection.
+// bounded-admission and deadline-shedding behavior), kThresholdQuery frames
+// through the model's ThresholdService; both pass the same tenant admission
+// and re-enter the loop through one completion queue + eventfd wakeup, with
+// the reply already encoded on the completing thread. Request errors are
+// answered with a kError frame on the same connection; the connection
+// survives. Malformed framing drops only the offending connection.
 //
 // The accept path is storm-proof: transient accept() failures (ECONNABORTED,
 // EMFILE, ENFILE, ...) are counted in serve.accept_errors and retried — with
@@ -30,6 +32,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -104,8 +107,6 @@ class Server {
   /// entry (one batcher + executor thread per replica). The registry must
   /// outlive the server and must not change while it runs.
   Server(ModelRegistry& registry, ServerOptions options);
-  /// Back-compat convenience: unix socket at `socket_path`.
-  Server(ModelRegistry& registry, std::string socket_path, BatchPolicy policy = {});
   ~Server();
 
   Server(const Server&) = delete;
@@ -127,8 +128,6 @@ class Server {
   std::string endpoint() const;
   /// The bound TCP port (tcp transport only).
   std::uint16_t port() const;
-  /// The unix socket path (unix transport only; back-compat accessor).
-  const std::string& socket_path() const { return endpoint_.path; }
 
   ServeMetrics& metrics() { return metrics_; }
 
@@ -138,7 +137,7 @@ class Server {
   // can never overtake each other.
   struct Slot {
     bool ready = false;
-    bool counts_as_active = false;  // a generate admitted into a dispatcher
+    bool counts_as_active = false;  // admitted; counted in active_requests_
     std::vector<std::uint8_t> frame;  // length-prefixed, ready to write
     std::chrono::steady_clock::time_point t0;  // request decode start
   };
@@ -154,7 +153,7 @@ class Server {
     std::size_t out_off = 0;
     bool want_write = false;  // EPOLLOUT armed
     bool peer_eof = false;    // read side closed; flush, then close
-    int active_unflushed = 0;  // admitted generates encoded but not yet sent
+    int active_unflushed = 0;  // admitted requests encoded but not yet sent
     /// Last protocol progress (complete frame in, write progress out, or
     /// accept); the idle-timeout signal. Raw inbound bytes do NOT count —
     /// that would let a slow-loris client stay alive by dripping bytes.
@@ -168,11 +167,31 @@ class Server {
     std::uint64_t infer_wait_micros = 0;
   };
 
+  // An admitted generate or threshold request, as its completion sees it.
+  struct Ticket {
+    std::uint64_t conn_id = 0;
+    std::uint64_t seq = 0;
+    std::chrono::steady_clock::time_point t_submit;
+  };
+
   void run_loop();
   void on_listener_ready();
   void on_conn_readable(Conn& conn);
   void on_conn_writable(Conn& conn);
   void dispatch_frame(Conn& conn, std::vector<std::uint8_t> payload);
+  Slot& slot_at(Conn& conn, std::uint64_t seq);
+  /// Answers request `seq` on the loop thread; undoes the slot's active mark
+  /// when a submit threw after admit().
+  void settle_slot(Conn& conn, std::uint64_t seq, const std::vector<std::uint8_t>& reply);
+  /// Records the decode stage and runs tenant admission. A rejected request
+  /// is answered kRateLimited and yields nothing; an admitted one has its
+  /// slot marked active and yields the ticket its completion hands back.
+  std::optional<Ticket> admit(Conn& conn, std::uint64_t seq, std::uint32_t tenant_id);
+  /// Completing thread: Overloaded -> kOverloaded (counted as a shed), any
+  /// other error -> kError (counted as an error).
+  std::vector<std::uint8_t> error_reply(std::exception_ptr error);
+  /// Completing thread: queues the encoded reply for the loop and wakes it.
+  void complete(const Ticket& ticket, std::vector<std::uint8_t> reply);
   void finish_slot(Conn& conn, std::uint64_t seq, std::vector<std::uint8_t> payload,
                    std::uint64_t infer_wait_micros);
   void flush_conn(Conn& conn);
@@ -222,7 +241,7 @@ class Server {
   int listen_fd_ = -1;
   std::atomic<bool> stopping_{false};
   std::atomic<bool> draining_{false};
-  std::atomic<int> active_requests_{0};  // admitted generates awaiting flush
+  std::atomic<int> active_requests_{0};  // admitted requests awaiting flush
   std::thread loop_thread_;
   std::uint64_t next_conn_id_ = 2;  // 0 = listener, 1 = wake eventfd
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;

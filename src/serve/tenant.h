@@ -1,8 +1,8 @@
 // TenantGovernor: per-tenant token-bucket admission for the serve front end.
 //
-// Every generate request carries a u32 tenant id (protocol v2; v1 frames map
-// to tenant 0). Each tenant owns a token bucket refilled at rate_per_sec up
-// to burst tokens; admitting a request costs one token. A tenant storming
+// Every generate request and threshold query carries a u32 tenant id in its
+// header (0 is the default tenant). Each tenant owns a token bucket refilled
+// at rate_per_sec up to burst tokens; admitting a request costs one token. A tenant storming
 // past its rate only drains its own bucket — the fleet's admission queues
 // stay available to everyone else — and is shed with a typed kRateLimited
 // carrying the earliest time a retry can be admitted.

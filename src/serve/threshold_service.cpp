@@ -1,6 +1,5 @@
 #include "serve/threshold_service.h"
 
-#include <future>
 #include <sstream>
 #include <utility>
 
@@ -57,20 +56,6 @@ void ThresholdService::submit_async(const data::Condition& condition, Completion
     queue_.push_back(Pending{condition, std::move(done)});
   }
   cv_.notify_one();
-}
-
-thresholds::ThresholdReport ThresholdService::query(const data::Condition& condition) {
-  std::promise<thresholds::ThresholdReport> promise;
-  auto future = promise.get_future();
-  submit_async(condition,
-               [&promise](thresholds::ThresholdReport report, std::exception_ptr error) {
-                 if (error) {
-                   promise.set_exception(error);
-                 } else {
-                   promise.set_value(std::move(report));
-                 }
-               });
-  return future.get();
 }
 
 void ThresholdService::close() {

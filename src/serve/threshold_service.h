@@ -81,9 +81,6 @@ class ThresholdService {
   /// Enqueues one query. Throws Overloaded when closed or at max_queue.
   void submit_async(const data::Condition& condition, Completion done);
 
-  /// Blocking flavor for offline callers and tests.
-  thresholds::ThresholdReport query(const data::Condition& condition);
-
   /// Stops admitting (submits throw Overloaded); queued work still runs.
   void close();
   /// Blocks until every admitted query has completed.

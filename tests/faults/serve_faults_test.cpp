@@ -212,10 +212,11 @@ TEST_F(ServeFaultsTest, DrainDeliversInFlightWorkAndShedsNewRequests) {
   GateModel* gate = gate_owner.get();
   ModelRegistry registry;
   registry.add("Gate", std::move(gate_owner), Shape({1, 8, 8}), /*warmup_batch=*/0);
-  BatchPolicy policy;
-  policy.max_batch_size = 1;
-  policy.max_wait_micros = 100;
-  Server server(registry, socket_path_, policy);
+  ServerOptions options;
+  options.endpoint = socket_path_;
+  options.policy.max_batch_size = 1;
+  options.policy.max_wait_micros = 100;
+  Server server(registry, options);
   server.start();
 
   const GenerateRequest request = gate_request();
@@ -257,7 +258,9 @@ TEST_F(ServeFaultsTest, ServerSurvivesClientResetsAndHostileFrames) {
   auto gate_owner = std::make_unique<GateModel>();
   ModelRegistry registry;
   registry.add("Gate", std::move(gate_owner), Shape({1, 8, 8}), /*warmup_batch=*/0);
-  Server server(registry, socket_path_, BatchPolicy{});
+  ServerOptions options;
+  options.endpoint = socket_path_;
+  Server server(registry, options);
   server.start();
 
   const GenerateRequest request = gate_request();
@@ -303,7 +306,9 @@ TEST_F(ServeFaultsTest, PeerResetDuringReplyClosesOnlyThatConnection) {
   GateModel* gate = gate_owner.get();
   ModelRegistry registry;
   registry.add("Gate", std::move(gate_owner), Shape({1, 8, 8}), /*warmup_batch=*/0);
-  Server server(registry, socket_path_, BatchPolicy{});
+  ServerOptions options;
+  options.endpoint = socket_path_;
+  Server server(registry, options);
   server.start();
 
   const GenerateRequest request = gate_request();
@@ -337,7 +342,9 @@ TEST_F(ServeFaultsTest, InjectedSocketResetsNeverKillTheServer) {
   auto gate_owner = std::make_unique<GateModel>();
   ModelRegistry registry;
   registry.add("Gate", std::move(gate_owner), Shape({1, 8, 8}), /*warmup_batch=*/0);
-  Server server(registry, socket_path_, BatchPolicy{});
+  ServerOptions options;
+  options.endpoint = socket_path_;
+  Server server(registry, options);
   server.start();
 
   const GenerateRequest request = gate_request();

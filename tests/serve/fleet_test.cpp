@@ -2,8 +2,8 @@
 // error-based quarantine, restart-failure retry), deterministic least-loaded
 // routing that skips quarantined replicas, degraded health reporting,
 // per-tenant token-bucket admission (unit + end-to-end), client retry with
-// backoff, protocol v1 interop, connection hygiene (idle eviction, pipeline
-// and buffer caps), and graceful drain with a replica mid-quarantine.
+// backoff, the retired v1 frame type, connection hygiene (idle eviction,
+// pipeline and buffer caps), and graceful drain with a replica mid-quarantine.
 //
 // Every fault scenario is driven by the deterministic FG_FAULT seams
 // (`serve_replica_wedge`, `serve_replica_error`, `serve_replica_restart`);
@@ -153,7 +153,7 @@ ModelRegistry make_echo_registry(std::size_t replicas) {
 }
 
 // Raw blocking protocol connection: what a hand-rolled (possibly hostile or
-// legacy-v1) client looks like to the server. The typed Client is bypassed on
+// outdated) client looks like to the server. The typed Client is bypassed on
 // purpose so tests control exactly which bytes hit the wire.
 class RawConn {
  public:
@@ -527,7 +527,7 @@ TEST_F(FleetTest, OverRateTenantIsShedTypedWithoutTouchingOthers) {
     EXPECT_GT(e.retry_after_micros(), 0u);
   }
 
-  // Another tenant (and v1 clients as tenant 0) sail through untouched.
+  // Another tenant (and the default tenant 0) sail through untouched.
   EXPECT_EQ(client.generate(echo_request(/*tenant=*/8)).voltages, test_row());
   EXPECT_EQ(client.generate(echo_request(/*tenant=*/0)).voltages, test_row());
 
@@ -562,10 +562,10 @@ TEST_F(FleetTest, ClientRetryBacksOffPastRateLimitAndSucceeds) {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol v2 interop: v1 frames keep working, bit-identically.
+// Retired protocol v1: type byte 1 is an unknown type now.
 // ---------------------------------------------------------------------------
 
-TEST_F(FleetTest, V1ClientsInteroperateBitIdentically) {
+TEST_F(FleetTest, RetiredV1GenerateGetsTypedErrorAndConnectionKeepsServing) {
   ModelRegistry registry = make_echo_registry(2);
   ServerOptions options;
   options.endpoint = socket_path_;
@@ -573,21 +573,29 @@ TEST_F(FleetTest, V1ClientsInteroperateBitIdentically) {
   Server server(registry, options);
   server.start();
 
-  // Reference response through the typed (v2) client.
+  // Reference response through the typed client.
   Client client(socket_path_);
-  const GenerateResponse v2 = client.generate(echo_request());
+  const GenerateResponse expected = client.generate(echo_request());
 
-  // Same request as a raw v1 frame — no tenant header on the wire.
+  // What a v1 client sent: type byte 1, then the generate body without the
+  // u32 tenant header.
+  std::vector<std::uint8_t> v1_payload = encode_generate_request(echo_request());
+  v1_payload.erase(v1_payload.begin() + 1, v1_payload.begin() + 5);
+  v1_payload[0] = 1;
   RawConn raw(socket_path_);
-  const auto v1_payload = encode_generate_request_v1(echo_request());
-  ASSERT_EQ(peek_type(v1_payload), MessageType::kGenerate);
   raw.send_payload(v1_payload);
   std::vector<std::uint8_t> reply;
   ASSERT_TRUE(raw.read_payload(reply));
+  ASSERT_EQ(peek_type(reply), MessageType::kError);
+  EXPECT_NE(decode_error(reply).find("unexpected message type 1"), std::string::npos);
+
+  // The same connection still serves a current generate, bit-identically.
+  raw.send_payload(encode_generate_request(echo_request()));
+  ASSERT_TRUE(raw.read_payload(reply));
   ASSERT_EQ(peek_type(reply), MessageType::kGenerateOk);
-  const GenerateResponse v1 = decode_generate_response(reply);
-  EXPECT_EQ(v1.side, v2.side);
-  EXPECT_EQ(v1.voltages, v2.voltages);  // bit-identical across protocol versions
+  const GenerateResponse served = decode_generate_response(reply);
+  EXPECT_EQ(served.side, expected.side);
+  EXPECT_EQ(served.voltages, expected.voltages);
 
   server.drain_and_stop();
 }

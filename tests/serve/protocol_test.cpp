@@ -37,7 +37,7 @@ GenerateRequest sample_request() {
 
 TEST(ProtocolTest, GenerateRequestRoundTrip) {
   const GenerateRequest request = sample_request();
-  // The default encoder emits protocol v2 (tenant header included).
+  // The encoder emits kGenerateV2 (tenant header included).
   const auto payload = encode_generate_request(request);
   EXPECT_EQ(peek_type(payload), MessageType::kGenerateV2);
 
@@ -49,29 +49,6 @@ TEST(ProtocolTest, GenerateRequestRoundTrip) {
   EXPECT_EQ(decoded.deadline_micros, request.deadline_micros);
   EXPECT_EQ(decoded.side, request.side);
   EXPECT_EQ(decoded.program_levels, request.program_levels);
-}
-
-// A v1 frame carries no tenant header; servers must decode it as tenant 0
-// with the rest of the body intact (back-compat with pre-v2 clients).
-TEST(ProtocolTest, GenerateRequestV1RoundTripMapsToTenantZero) {
-  const GenerateRequest request = sample_request();
-  const auto payload = encode_generate_request_v1(request);
-  EXPECT_EQ(peek_type(payload), MessageType::kGenerate);
-
-  const GenerateRequest decoded = decode_generate_request(payload);
-  EXPECT_EQ(decoded.tenant_id, 0u);  // tenant cannot ride in a v1 frame
-  EXPECT_EQ(decoded.model, request.model);
-  EXPECT_EQ(decoded.seed, request.seed);
-  EXPECT_EQ(decoded.stream, request.stream);
-  EXPECT_EQ(decoded.deadline_micros, request.deadline_micros);
-  EXPECT_EQ(decoded.side, request.side);
-  EXPECT_EQ(decoded.program_levels, request.program_levels);
-
-  // Apart from the type byte and tenant header, v1 and v2 bodies are
-  // layout-identical.
-  const auto v2 = encode_generate_request(request);
-  ASSERT_EQ(v2.size(), payload.size() + 4);
-  EXPECT_TRUE(std::equal(payload.begin() + 1, payload.end(), v2.begin() + 5));
 }
 
 TEST(ProtocolTest, RateLimitedRoundTrip) {
@@ -212,8 +189,9 @@ TEST(ProtocolTest, RejectsWrongTypeAndBadSide) {
 // checks, not trusted into an allocation or an out-of-bounds read.
 TEST(ProtocolTest, HostileInnerLengthPrefixesAreRejected) {
   {
-    ByteWriter w;  // kGenerate whose model-name length claims 4 GiB
-    w.put_u8(static_cast<std::uint8_t>(MessageType::kGenerate));
+    ByteWriter w;  // kGenerateV2 whose model-name length claims 4 GiB
+    w.put_u8(static_cast<std::uint8_t>(MessageType::kGenerateV2));
+    w.put_u32(7);  // tenant id
     w.put_u32(0xFFFFFFFFu);
     w.put_bytes("abc", 3);
     EXPECT_THROW((void)decode_generate_request(w.bytes()), Error);

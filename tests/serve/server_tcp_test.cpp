@@ -107,7 +107,9 @@ TEST_F(ServerTcpTest, TcpMatchesUnixAndDirectEngineBitForBit) {
   const std::string unix_path =
       (std::filesystem::temp_directory_path() / "flashgen_tcp_vs_unix.sock").string();
   ModelRegistry unix_registry = make_registry();
-  Server unix_server(unix_registry, unix_path, BatchPolicy{});
+  ServerOptions unix_options;
+  unix_options.endpoint = unix_path;
+  Server unix_server(unix_registry, unix_options);
   unix_server.start();
 
   Client tcp_client(tcp_server.endpoint());

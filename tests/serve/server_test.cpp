@@ -75,10 +75,11 @@ TEST_F(ServerTest, GenerateAndStatsRoundTrip) {
 
   ModelRegistry registry;
   registry.add("Gaussian", std::move(model), Shape({1, 8, 8}), /*warmup_batch=*/2);
-  BatchPolicy policy;
-  policy.max_batch_size = 4;
-  policy.max_wait_micros = 500;
-  Server server(registry, socket_path_, policy);
+  ServerOptions options;
+  options.endpoint = socket_path_;
+  options.policy.max_batch_size = 4;
+  options.policy.max_wait_micros = 500;
+  Server server(registry, options);
   server.start();
 
   {
@@ -127,7 +128,9 @@ TEST_F(ServerTest, GenerateAndStatsRoundTrip) {
 TEST_F(ServerTest, StopReturnsWhileClientsStayConnected) {
   ModelRegistry registry;
   registry.add("Gaussian", trained_gaussian(*dataset_), Shape({1, 8, 8}), /*warmup_batch=*/2);
-  Server server(registry, socket_path_, BatchPolicy{});
+  ServerOptions options;
+  options.endpoint = socket_path_;
+  Server server(registry, options);
   server.start();
 
   // An idle connection parks its server-side thread in read_frame; stop()
