@@ -1,6 +1,5 @@
 #include "common/stats.h"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <map>
@@ -16,17 +15,6 @@ void Gauge::set(double v) {
 
 double Gauge::value() const {
   return std::bit_cast<double>(bits_.load(std::memory_order_relaxed));
-}
-
-void Summary::record(double v) {
-  if (count_ == 0) {
-    min_ = max_ = v;
-  } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
-  sum_ += v;
-  ++count_;
 }
 
 namespace {

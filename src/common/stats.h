@@ -1,4 +1,4 @@
-// Process-wide named counters and gauges, plus a streaming Summary.
+// Process-wide named counters and gauges.
 //
 // Counters are monotonic (requests served, cells simulated); gauges hold the
 // latest sample of a level (current queue depth, learning rate). Both are
@@ -37,26 +37,6 @@ class Gauge {
 
  private:
   std::atomic<std::uint64_t> bits_{0};  // IEEE-754 bit pattern of the value
-};
-
-/// Streaming count/sum/min/max summary. NOT thread-safe: callers guard it
-/// (ServeMetrics holds its summaries under the metrics mutex). All accessors
-/// are finite for every count, including 0 and 1 — mean()/min()/max() of an
-/// empty summary are 0, never NaN.
-class Summary {
- public:
-  void record(double v);
-  std::uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  double mean() const { return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_); }
-  double min() const { return count_ == 0 ? 0.0 : min_; }
-  double max() const { return count_ == 0 ? 0.0 : max_; }
-
- private:
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 /// Returns the counter/gauge registered under `name`, creating it on first

@@ -1,5 +1,5 @@
-// Process-wide stats registry: counters/gauges are stable references, the
-// JSON snapshot always parses, and Summary stays finite at count 0 and 1.
+// Process-wide stats registry: counters/gauges are stable references and the
+// JSON snapshot always parses.
 #include "common/stats.h"
 
 #include <gtest/gtest.h>
@@ -42,23 +42,6 @@ TEST_F(StatsTest, GaugeHoldsLastValue) {
   EXPECT_EQ(g.value(), -2.75);
   g.set(13.0);
   EXPECT_EQ(g.value(), 13.0);
-}
-
-TEST_F(StatsTest, SummaryIsFiniteAtEveryCount) {
-  Summary s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.min(), 0.0);
-  EXPECT_EQ(s.max(), 0.0);
-  s.record(5.0);
-  EXPECT_EQ(s.mean(), 5.0);
-  EXPECT_EQ(s.min(), 5.0);
-  EXPECT_EQ(s.max(), 5.0);
-  s.record(-1.0);
-  EXPECT_EQ(s.count(), 2u);
-  EXPECT_EQ(s.mean(), 2.0);
-  EXPECT_EQ(s.min(), -1.0);
-  EXPECT_EQ(s.max(), 5.0);
 }
 
 TEST_F(StatsTest, JsonSnapshotParsesAndSortsKeys) {
